@@ -14,7 +14,7 @@ import argparse
 from pathlib import Path
 
 from examweight import analysis, dataio, experiment, solvers, synthetic
-from examweight.cli import _SOLVER_ALIASES
+from examweight.cli import SOLVER_ALIASES
 
 
 def parse_args():
@@ -22,7 +22,7 @@ def parse_args():
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--students", type=int, default=9)
     p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--solver", choices=sorted(_SOLVER_ALIASES), default="linear")
+    p.add_argument("--solver", choices=sorted(SOLVER_ALIASES), default="linear")
     p.add_argument("--extremes", type=int, default=3)
     p.add_argument("--out-dir", default="study_out")
     return p.parse_args()
@@ -59,7 +59,7 @@ def main():
         moved = [f"{q}:{d:+.3f}" for q, d in delta.weight_deltas[:3]]
         print(f"  {delta.approach:>16}  {'  '.join(moved)}")
 
-    solver = _SOLVER_ALIASES[args.solver]
+    solver = SOLVER_ALIASES[args.solver]
     top, bottom = analysis.extreme_questions(
         comparison.include_report, solver, k=args.extremes
     )

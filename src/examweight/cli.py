@@ -17,7 +17,7 @@ from . import gradebook as gb
 from . import solvers, synthetic
 from .errors import ConvergenceError, DataError
 
-_SOLVER_ALIASES = {
+SOLVER_ALIASES = {
     "ols": solvers.OLS_CLOSED_FORM,
     "linear": solvers.LINEAR_INTERCEPT,
     "huber": solvers.HUBER,
@@ -67,7 +67,7 @@ def build_parser() -> _Parser:
     fit = sub.add_parser("fit", parents=[], help="fit question weights (LOOCV averaged)")
     _add_gradebook_args(fit)
     _add_solver_args(fit)
-    fit.add_argument("--solver", choices=[*_SOLVER_ALIASES, "all"], default="all")
+    fit.add_argument("--solver", choices=[*SOLVER_ALIASES, "all"], default="all")
     fit.add_argument("--scale", choices=["actual", "normalized", "both"], default="actual")
     fit.add_argument("--exclude-exam", action="store_true",
                      help="exclude the exam component from the overall score")
@@ -91,7 +91,7 @@ def build_parser() -> _Parser:
                        help="top/bottom K questions by averaged weight")
     group.add_argument("--degenerate", action="store_true",
                        help="flag all-correct / all-zero / duplicate / top-only questions")
-    an.add_argument("--solver", choices=list(_SOLVER_ALIASES), default="linear",
+    an.add_argument("--solver", choices=list(SOLVER_ALIASES), default="linear",
                     help="solver whose weights rank the extremes")
     an.add_argument("--scale", choices=["actual", "normalized"], default="actual")
     an.add_argument("--out", help="output CSV path (default: stdout)")
@@ -161,8 +161,8 @@ def _cmd_fit(args) -> int:
     cfg = _config(args)
     exclusion = gb.EXCLUDE_EXAM if args.exclude_exam else gb.INCLUDE_EXAM
     approaches = (
-        tuple(_SOLVER_ALIASES.values()) if args.solver == "all"
-        else (_SOLVER_ALIASES[args.solver],)
+        tuple(SOLVER_ALIASES.values()) if args.solver == "all"
+        else (SOLVER_ALIASES[args.solver],)
     )
     report = experiment.evaluate(
         book, args.exam, cfg, _scales(args.scale), (exclusion,), approaches
@@ -214,7 +214,7 @@ def _cmd_analyze(args) -> int:
         rows = [[d.question, ";".join(d.flags)] for d in diags]
         _print_csv(["question", "flags"], rows, args.out)
         return EXIT_OK
-    solver = _SOLVER_ALIASES[args.solver]
+    solver = SOLVER_ALIASES[args.solver]
     report = experiment.evaluate(
         book, args.exam, cfg, (args.scale,), (gb.INCLUDE_EXAM,),
         approaches=(solver,),

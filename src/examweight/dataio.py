@@ -49,10 +49,21 @@ class GradebookFileSet:
 
 def _read_rows(path: Path) -> list[list[str]]:
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        # utf-8-sig drops the byte-order mark of spreadsheet "CSV UTF-8" exports
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             return list(csv.reader(fh))
     except OSError as exc:
         raise DataError(f"{path}: {exc}") from exc
+
+
+def _add_student(students: dict[str, int], student: str, path: Path, row: int) -> None:
+    """Record the row a student is on; a second row for them is an error."""
+    if student in students:
+        raise DataError(
+            f"{path}: row {row}: duplicate student {student!r} "
+            f"(first on row {students[student]})"
+        )
+    students[student] = row
 
 
 def _parse_float(cell: str, path: Path, row: int, col: str) -> float:
@@ -103,14 +114,14 @@ def _load_scores(path: Path, question_ids: tuple[str, ...]) -> tuple[tuple[str, 
     body = rows[1:]
     if not body:
         raise DataError(f"{path}: no students")
-    students = []
+    students = {}
     matrix = np.zeros((len(body), len(header_ids)))
     for r, row in enumerate(body, start=2):
         if len(row) != len(rows[0]):
             raise DataError(
                 f"{path}: row {r}: expected {len(rows[0])} fields, got {len(row)}"
             )
-        students.append(row[0])
+        _add_student(students, row[0], path, r)
         for c, (qid, cell) in enumerate(zip(header_ids, row[1:])):
             val = _parse_float(cell, path, r, qid)
             if not 0.0 <= val <= 1.0:
@@ -133,7 +144,7 @@ def _load_components(path: Path) -> tuple[tuple[str, ...], dict[str, np.ndarray]
     body = rows[1:]
     if not body:
         raise DataError(f"{path}: no students")
-    students = []
+    students = {}
     values = {name: [] for name in gb.COMPONENTS}
     for r, row in enumerate(body, start=2):
         if len(row) != len(COMPONENT_HEADERS):
@@ -141,7 +152,7 @@ def _load_components(path: Path) -> tuple[tuple[str, ...], dict[str, np.ndarray]
                 f"{path}: row {r}: expected {len(COMPONENT_HEADERS)} fields, "
                 f"got {len(row)}"
             )
-        students.append(row[0])
+        _add_student(students, row[0], path, r)
         for name, cell in zip(gb.COMPONENTS, row[1:]):
             val = _parse_float(cell, path, r, name)
             if not 0.0 <= val <= 100.0:

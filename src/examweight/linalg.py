@@ -1,8 +1,8 @@
-"""Dense linear algebra kernel: one-sided Jacobi SVD, Moore-Penrose
-pseudoinverse, and minimum-norm least-squares solving.
+"""Dense linear algebra kernel: thin SVD, Moore-Penrose pseudoinverse, and
+minimum-norm least-squares solving.
 
-All routines are pure functions on float64 numpy arrays.  The Jacobi sweep
-order is a fixed cyclic schedule, so results are bit-reproducible across runs.
+All routines are pure functions on float64 numpy arrays; the SVD is numpy's
+LAPACK routine.  Rank decisions are relative to the largest singular value.
 Intended scale is desk-size problems (up to a few hundred rows/columns).
 """
 
@@ -13,11 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-
-MAX_SWEEPS = 60
-
-# A column pair counts as orthogonal once |<ci,cj>| <= _ORTH_TOL * ||ci|| ||cj||.
-_ORTH_TOL = 1e-15
 
 
 def as_matrix(a) -> np.ndarray:
@@ -60,92 +55,18 @@ class SvdResult:
     v: np.ndarray
 
 
-def _complete_orthonormal(u: np.ndarray, missing: list[int]) -> None:
-    """Fill the given U columns with unit vectors orthogonal to the rest.
-
-    Deterministic: each slot takes the identity basis vector whose residual
-    after two rounds of Gram-Schmidt is largest (ties to the lowest index).
-    The best residual norm is at least 1/sqrt(n) whenever a slot remains.
-    """
-    n = u.shape[0]
-    filled = [k for k in range(u.shape[1]) if k not in set(missing)]
-    for k in missing:
-        best_norm = 0.0
-        best = None
-        for t in range(n):
-            cand = np.zeros(n)
-            cand[t] = 1.0
-            for _ in range(2):
-                for j in filled:
-                    cand -= (u[:, j] @ cand) * u[:, j]
-            norm = np.linalg.norm(cand)
-            if norm > best_norm:
-                best_norm = norm
-                best = cand / norm
-        if best is None:  # pragma: no cover - cannot happen with r <= n
-            raise RuntimeError("failed to complete orthonormal basis")
-        u[:, k] = best
-        filled.append(k)
-
-
 def svd(a) -> SvdResult:
-    """Thin SVD via cyclic one-sided Jacobi rotations.
+    """Thin SVD by LAPACK (``numpy.linalg.svd``).
 
-    Raises ConvergenceError if column pairs are still non-orthogonal after
-    MAX_SWEEPS sweeps.
+    Raises ConvergenceError if LAPACK's iteration does not converge.
     """
     a = as_matrix(a)
-    n, p = a.shape
-    if n < p:
-        flipped = svd(a.T)
-        return SvdResult(u=flipped.v, singular_values=flipped.singular_values, v=flipped.u)
-
-    m = a.copy()
-    v = np.eye(p)
-    for _ in range(MAX_SWEEPS):
-        rotated = False
-        for i in range(p - 1):
-            for j in range(i + 1, p):
-                aii = m[:, i] @ m[:, i]
-                ajj = m[:, j] @ m[:, j]
-                aij = m[:, i] @ m[:, j]
-                denom = np.sqrt(aii * ajj)
-                if denom == 0.0 or abs(aij) <= _ORTH_TOL * denom:
-                    continue
-                rotated = True
-                tau = (ajj - aii) / (2.0 * aij)
-                t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                if tau == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = c * t
-                ci, cj = m[:, i].copy(), m[:, j].copy()
-                m[:, i] = c * ci - s * cj
-                m[:, j] = s * ci + c * cj
-                vi, vj = v[:, i].copy(), v[:, j].copy()
-                v[:, i] = c * vi - s * vj
-                v[:, j] = s * vi + c * vj
-        if not rotated:
-            break
-    else:
-        raise ConvergenceError(
-            f"Jacobi SVD did not converge within {MAX_SWEEPS} sweeps"
-        )
-
-    norms = np.linalg.norm(m, axis=0)
-    order = np.argsort(-norms, kind="stable")
-    sigma = norms[order]
-    u = np.zeros((n, p))
-    missing = []
-    tiny = (sigma[0] * 1e-13) if sigma[0] > 0 else 0.0
-    for k, col in enumerate(order):
-        if norms[col] > tiny and norms[col] > 0.0:
-            u[:, k] = m[:, col] / norms[col]
-        else:
-            missing.append(k)
-    if missing:
-        _complete_orthonormal(u, missing)
-    return SvdResult(u=u, singular_values=sigma, v=v[:, order])
+    try:
+        u, sigma, vt = np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        rows, cols = a.shape
+        raise ConvergenceError(f"LAPACK SVD failed on a {rows}x{cols} matrix: {exc}") from exc
+    return SvdResult(u=u, singular_values=sigma, v=vt.T)
 
 
 def pinv(a, rank_cutoff: float | None = None) -> np.ndarray:

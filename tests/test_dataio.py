@@ -130,6 +130,32 @@ class TestLoaderErrors:
         with pytest.raises(DataError, match="students disagree"):
             dataio.load_gradebook(fs)
 
+    def test_duplicate_student_in_scores(self, tmp_path):
+        fs = self.fileset(tmp_path, scores="student,Q1\nal,0.5\nal,0.7\n")
+        with pytest.raises(
+            DataError, match=r"s\.csv: row 3: duplicate student 'al' \(first on row 2\)"
+        ):
+            dataio.load_gradebook(fs)
+
+    def test_duplicate_student_in_components(self, tmp_path):
+        fs = self.fileset(
+            tmp_path,
+            components="student,homework,midterm,project,final\nal,50,50,50,50\nal,60,60,60,60\n",
+        )
+        with pytest.raises(
+            DataError, match=r"c\.csv: row 3: duplicate student 'al' \(first on row 2\)"
+        ):
+            dataio.load_gradebook(fs)
+
+    @pytest.mark.parametrize("name", ["s.csv", "q.csv", "c.csv"])
+    def test_utf8_bom_is_ignored(self, tmp_path, name):
+        fs = self.fileset(tmp_path)
+        path = tmp_path / name
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        book = dataio.load_gradebook(fs, check_consistency=False)
+        assert book.students == ("al",)
+        assert book.question_ids("final") == ("Q1",)
+
     def test_consistency_check_applied(self, tmp_path):
         # final component 50 but actual exam total 100
         fs = self.fileset(tmp_path, scores="student,Q1\nal,1.0\n")
