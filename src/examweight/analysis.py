@@ -4,7 +4,7 @@ score-vs-ability distribution tables, and degenerate/duplicate detection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,6 @@ ALL_ZERO = "all_zero"
 @dataclass(frozen=True)
 class QuestionDiagnostic:
     question: str
-    weight_by_solver: dict[str, float] = field(default_factory=dict)
     flags: tuple[str, ...] = ()
     # (student id, fractional score, ability), sorted by ability ascending
     distribution: tuple[tuple[str, float, float], ...] = ()
@@ -110,23 +109,3 @@ def degenerate_questions(g: gb.Gradebook, exam: str) -> list[QuestionDiagnostic]
             diagnostics.append(QuestionDiagnostic(question=qid, flags=tuple(flags)))
     return diagnostics
 
-
-def attach_weights(
-    diag: QuestionDiagnostic, report: EvaluationReport, scale: str = gb.ACTUAL_SCALE,
-    exclusion: str = gb.INCLUDE_EXAM,
-) -> QuestionDiagnostic:
-    """Return a copy of the diagnostic with averaged weights per solver filled
-    in from an evaluation report."""
-    if diag.question not in report.question_ids:
-        raise DataError(f"question {diag.question!r} not in report")
-    j = report.question_ids.index(diag.question)
-    weights = {}
-    for rec in report.records:
-        if rec.scale == scale and rec.exclusion == exclusion:
-            weights[rec.approach] = float(rec.averaged_weights.question_weights[j])
-    return QuestionDiagnostic(
-        question=diag.question,
-        weight_by_solver=weights,
-        flags=diag.flags,
-        distribution=diag.distribution,
-    )

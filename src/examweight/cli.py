@@ -146,11 +146,21 @@ def _print_csv(header, rows, out: str | None) -> None:
         writer.writerows(rows)
 
 
+_STOP_MESSAGES = {
+    solvers.STOP_ITERATION_CAP: "hit the iteration cap",
+    solvers.STOP_STALLED: "stalled (the line search found no further decrease)",
+}
+
+
 def _warn_unconverged(report: experiment.EvaluationReport, strict: bool) -> None:
     for rec in report.records:
         if rec.unconverged_folds:
-            msg = (f"warning: {rec.approach} ({rec.scale}, {rec.exclusion}): "
-                   f"folds {list(rec.unconverged_folds)} hit the iteration cap")
+            by_reason: dict[str, list[int]] = {}
+            for k in rec.unconverged_folds:
+                why = _STOP_MESSAGES[rec.fold_weights[k].stop_reason]
+                by_reason.setdefault(why, []).append(k)
+            causes = "; ".join(f"folds {folds} {why}" for why, folds in by_reason.items())
+            msg = f"warning: {rec.approach} ({rec.scale}, {rec.exclusion}): {causes}"
             if strict:
                 raise ConvergenceError(msg)
             print(msg, file=sys.stderr)

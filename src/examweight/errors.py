@@ -6,4 +6,4 @@ class DataError(Exception):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative routine exceeded its iteration cap without converging."""
+    """An iterative routine stopped without converging (iteration cap or stall)."""

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import gradebook as gb
 from . import solvers
-from .errors import ConvergenceError
+from .errors import ConvergenceError, DataError
 from .solvers import SolverConfig, WeightSolution
 
 APPROACHES = (
@@ -29,6 +29,12 @@ APPROACHES = (
 # An unconverged Huber fold is tolerated when its iterate is this close to
 # stationary; anything worse aborts the evaluation.
 _FOLD_GRADIENT_CEILING = 1e-4
+
+
+def _with_context(exc: ConvergenceError | DataError, context: str) -> Exception:
+    """The project error of exc's kind, its message prefixed with context."""
+    kind = ConvergenceError if isinstance(exc, ConvergenceError) else DataError
+    return kind(f"{context}: {exc}")
 
 
 def loocv_fit(
@@ -52,8 +58,8 @@ def loocv_fit(
         keep = np.arange(n) != k
         try:
             folds.append(fitter(s[keep], a[keep], cfg))
-        except Exception as exc:
-            raise type(exc)(f"fold {k}: {exc}") from exc
+        except (ConvergenceError, DataError) as exc:
+            raise _with_context(exc, f"fold {k}") from exc
     averaged = WeightSolution(
         question_weights=np.mean([f.question_weights for f in folds], axis=0),
         intercept=float(np.mean([f.intercept for f in folds])),
@@ -135,9 +141,9 @@ def evaluate(
                     folds, averaged, unconverged = _solve_cell(
                         s, target, approach, cfg, points, n
                     )
-                except Exception as exc:
-                    raise type(exc)(
-                        f"{approach} ({scale}, {exclusion}): {exc}"
+                except (ConvergenceError, DataError) as exc:
+                    raise _with_context(
+                        exc, f"{approach} ({scale}, {exclusion})"
                     ) from exc
                 preds = solvers.predict(averaged, s)
                 records.append(

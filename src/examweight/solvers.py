@@ -29,6 +29,11 @@ ACTUAL = "actual"
 FITTED_SOLVER_IDS = (OLS_CLOSED_FORM, LINEAR_INTERCEPT, HUBER, NNLS)
 BASELINE_SOLVER_IDS = (UNIFORM, ACTUAL)
 
+# Why fit_huber stopped; only STOP_GRADIENT counts as converged.
+STOP_GRADIENT = "gradient"
+STOP_STALLED = "stalled"
+STOP_ITERATION_CAP = "iteration_cap"
+
 # Lower bound on the concomitant scale, in units of the normalized target
 # (max|a| = 1).  When the scale collapses (near-interpolable data, or more
 # than ~half the residuals in the absolute-loss regime) the objective tends
@@ -76,6 +81,8 @@ class WeightSolution:
     sigma: float | None = None  # huber concomitant scale (target units)
     gradient_norm: float | None = None  # huber final gradient norm
     objective_history: tuple[float, ...] = field(default=(), repr=False)
+    # why an iterative fit stopped (STOP_*); None for the direct solvers
+    stop_reason: str | None = None
 
 
 def _check_design(s, a) -> tuple[np.ndarray, np.ndarray]:
@@ -143,18 +150,51 @@ def _huber_objective_and_grad(theta, s, a, eps, alpha, n, m):
     return f, grad
 
 
+def _huber_hessian(theta, grad, s, a, eps, alpha, m):
+    """PSD Hessian of the objective in theta = (w, c, u).
+
+    In (w, c, sigma) it is (2/sigma) * sum_quad v_i v_i^T with
+    v_i = (x_i, 1, z_i), plus 2*alpha on the w block; rows in the
+    absolute-loss regime carry no curvature.  The map to u scales the last
+    coordinate by exp(u) and adds the gradient term to H_uu, clipped at zero
+    so the matrix stays positive semidefinite.
+    """
+    w, c, u = theta[:m], theta[m], theta[m + 1]
+    sigma = _SIGMA_FLOOR + np.exp(u)
+    z = (a - c - s @ w) / sigma
+    quad = np.abs(z) <= eps
+    v = np.column_stack([s[quad], np.ones(quad.sum()), z[quad] * np.exp(u)])
+    h = (2.0 / sigma) * (v.T @ v)
+    h[np.arange(m), np.arange(m)] += 2.0 * alpha
+    h[m + 1, m + 1] += max(grad[m + 1], 0.0)
+    return h
+
+
 def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
     """Huber regression with a jointly optimized concomitant scale.
 
     Minimizes sum_i [sigma + H_eps(r_i/sigma) * sigma] + alpha * ||w||^2 over
-    (weights, intercept, sigma > 0) by BFGS with Armijo backtracking, which
-    makes the recorded objective values monotonically nonincreasing.  The
-    target is normalized by max|a| internally (with alpha rescaled so the
-    objective is unchanged), keeping the iteration scale-equivariant; the
-    convergence test is on the normalized objective's gradient norm.
+    (weights, intercept, sigma > 0) by a damped Newton method on the
+    piecewise-quadratic objective: each step solves (H + mu*I) d = -g with
+    the analytic Hessian, and mu shrinks after a full step and grows after a
+    shortened one.  The target is normalized by max|a| internally (with
+    alpha rescaled so the objective is unchanged), keeping the iteration
+    scale-equivariant; the convergence test is on the normalized objective's
+    gradient norm.
 
-    Hitting the iteration cap is not fatal: the best iterate is returned with
-    converged=False and its gradient norm in the diagnostics.
+    A step is accepted on an Armijo strict decrease, or when the objective
+    stays within its rounding error and the gradient norm falls, so the
+    recorded objective values are nonincreasing up to rounding.  The fit
+    reports why it stopped in stop_reason:
+
+    * "gradient": the gradient norm fell below huber_tolerance (converged);
+    * "stalled": 60 step halvings found no acceptable point, and the step
+      was already damped (a failed search with mu below 1e-10 * max diag H
+      is retried with mu raised to that floor);
+    * "iteration_cap": huber_max_iterations Newton solves were made.
+
+    Neither of the last two is fatal: the last accepted iterate, the best up
+    to rounding, is returned with converged=False and its gradient norm.
     """
     s, a = _check_design(s, a)
     n, m = s.shape
@@ -169,6 +209,7 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
             sigma=_SIGMA_FLOOR,
             gradient_norm=0.0,
             objective_history=(0.0,),
+            stop_reason=STOP_GRADIENT,
         )
     at = a / scale
     # On the normalized problem the original objective becomes
@@ -181,57 +222,58 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
     theta[m + 1] = np.log(max(sigma0, 1e-3))
 
     f, g = _huber_objective_and_grad(theta, s, at, eps, alpha, n, m)
+    gnorm = float(np.linalg.norm(g))
     history = [f]
-    hinv = np.eye(m + 2)
-    converged = False
+    mu = 0.0
     it = 0
-    for it in range(1, cfg.huber_max_iterations + 1):
-        gnorm = np.linalg.norm(g)
+    while True:
         if gnorm < cfg.huber_tolerance:
-            converged = True
+            stop_reason = STOP_GRADIENT
             break
-        d = -hinv @ g
-        slope = g @ d
-        if slope >= 0:  # lost curvature; restart from steepest descent
-            hinv = np.eye(m + 2)
+        if it == cfg.huber_max_iterations:
+            stop_reason = STOP_ITERATION_CAP
+            break
+        it += 1
+        h = _huber_hessian(theta, g, s, at, eps, alpha, m)
+        try:
+            d = np.linalg.solve(h + mu * np.eye(m + 2), -g)
+        except np.linalg.LinAlgError:
             d = -g
-            slope = -(g @ g)
+        slope = g @ d
+        mu_floor = 1e-10 * h.diagonal().max()
         t = 1.0
-        f_new, g_new, theta_new = f, g, theta
         for _ in range(60):
             cand = theta + t * d
             f_cand, g_cand = _huber_objective_and_grad(cand, s, at, eps, alpha, n, m)
-            if f_cand <= f + 1e-4 * t * slope:
-                f_new, g_new, theta_new = f_cand, g_cand, cand
+            g_cand_norm = float(np.linalg.norm(g_cand))
+            if (f_cand < f and f_cand <= f + 1e-4 * t * slope) or (
+                f_cand <= f + 4.0 * np.spacing(f) and g_cand_norm < gnorm
+            ):
                 break
             t *= 0.5
         else:
-            break  # no decrease to machine precision; stop at best iterate
-        step = theta_new - theta
-        yvec = g_new - g
-        sy = step @ yvec
-        if sy > 1e-12 * np.linalg.norm(step) * np.linalg.norm(yvec):
-            rho = 1.0 / sy
-            v = np.eye(m + 2) - rho * np.outer(step, yvec)
-            hinv = v @ hinv @ v.T + rho * np.outer(step, step)
-        theta, f, g = theta_new, f_new, g_new
+            if mu >= mu_floor:
+                stop_reason = STOP_STALLED
+                break
+            # A barely damped solve of a singular H can return a useless
+            # step; retry from the same point with the damping raised.
+            mu = max(4.0 * mu, mu_floor)
+            continue
+        mu = mu / 4.0 if t == 1.0 else max(4.0 * mu, mu_floor)
+        theta, f, g, gnorm = cand, f_cand, g_cand, g_cand_norm
         history.append(f)
-    else:
-        it = cfg.huber_max_iterations
-
-    if not converged:
-        converged = np.linalg.norm(g) < cfg.huber_tolerance
 
     w, c, u = theta[:m], theta[m], theta[m + 1]
     return WeightSolution(
         question_weights=w * scale,
         intercept=float(c * scale),
         solver_id=HUBER,
-        converged=converged,
+        converged=stop_reason == STOP_GRADIENT,
         iterations=it,
         sigma=float((_SIGMA_FLOOR + np.exp(u)) * scale),
-        gradient_norm=float(np.linalg.norm(g)),
+        gradient_norm=gnorm,
         objective_history=tuple(history),
+        stop_reason=stop_reason,
     )
 
 

@@ -157,27 +157,3 @@ class TestDegenerateQuestions:
         for rec in rep.records:
             assert abs(rec.averaged_weights.question_weights[2]) < 1e-8
 
-
-class TestAttachWeights:
-    def test_fills_weights_for_matching_records(self):
-        g = make_book(np.random.default_rng(4).random((8, 3)))
-        rep = experiment.evaluate(
-            g,
-            "final",
-            approaches=(solvers.UNIFORM, solvers.LINEAR_INTERCEPT),
-            scales=(gb.ACTUAL_SCALE,),
-        )
-        diag = analysis.QuestionDiagnostic(question="Q2")
-        out = analysis.attach_weights(diag, rep)
-        assert set(out.weight_by_solver) == {solvers.UNIFORM, solvers.LINEAR_INTERCEPT}
-        assert out.weight_by_solver[solvers.UNIFORM] == pytest.approx(100.0 / 3)
-
-    def test_unknown_question(self):
-        g = make_book(np.random.default_rng(4).random((8, 3)))
-        rep = experiment.evaluate(
-            g, "final", approaches=(solvers.UNIFORM,), scales=(gb.ACTUAL_SCALE,)
-        )
-        with pytest.raises(DataError, match="not in report"):
-            analysis.attach_weights(
-                analysis.QuestionDiagnostic(question="Q99"), rep
-            )

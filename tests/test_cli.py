@@ -4,9 +4,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from examweight import cli
+from examweight import cli, experiment, solvers
+from examweight.errors import ConvergenceError
 
 GEN_ARGS = ["generate", "--seed", "7", "--analytical", "5", "--subparts", "8"]
 
@@ -163,6 +165,13 @@ class TestExitCodes:
         assert code == 1
         assert "error:" in err
 
+    def test_strict_evaluate_on_seed7_cohort_is_0(self, files, capsys):
+        code, _, err = run_cli(
+            ["evaluate", "--strict", *gradebook_args(files)], capsys
+        )
+        assert code == 0
+        assert "warning" not in err
+
     def test_strict_env_variable(self, files, capsys, monkeypatch):
         monkeypatch.setenv("EXAMWEIGHT_STRICT", "1")
         assert cli._is_strict(
@@ -179,3 +188,42 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert (tmp_path / "components.csv").exists()
+
+
+class TestUnconvergedWarning:
+    @staticmethod
+    def report(reasons):
+        folds = tuple(
+            solvers.WeightSolution(
+                question_weights=np.zeros(2), intercept=0.0, solver_id=solvers.HUBER,
+                converged=reason == solvers.STOP_GRADIENT, stop_reason=reason,
+            )
+            for reason in reasons
+        )
+        rec = experiment.ApproachRecord(
+            approach=solvers.HUBER, scale="actual", exclusion="include_exam",
+            fold_weights=folds, averaged_weights=folds[0],
+            predictions=np.zeros(len(folds)), target=np.zeros(len(folds)), mae=0.0,
+            unconverged_folds=tuple(
+                k for k, f in enumerate(folds) if not f.converged
+            ),
+        )
+        return experiment.EvaluationReport(
+            exam="final", question_ids=("Q1", "Q2"), records=(rec,)
+        )
+
+    def test_folds_grouped_by_real_reason(self, capsys):
+        rep = self.report([
+            solvers.STOP_GRADIENT, solvers.STOP_STALLED, solvers.STOP_ITERATION_CAP,
+            solvers.STOP_GRADIENT, solvers.STOP_STALLED,
+        ])
+        cli._warn_unconverged(rep, strict=False)
+        err = capsys.readouterr().err
+        assert "folds [1, 4] stalled" in err
+        assert "folds [2] hit the iteration cap" in err
+        assert err.count("warning:") == 1
+
+    def test_strict_raises_with_the_reason(self):
+        rep = self.report([solvers.STOP_GRADIENT, solvers.STOP_STALLED])
+        with pytest.raises(ConvergenceError, match=r"folds \[1\] stalled"):
+            cli._warn_unconverged(rep, strict=True)

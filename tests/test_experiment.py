@@ -72,6 +72,28 @@ class TestLoocvFit:
         with pytest.raises(ConvergenceError, match="fold 0"):
             experiment.loocv_fit(s, np.ones(6), solvers.NNLS, cfg)
 
+    def test_foreign_errors_propagate_unchanged(self, monkeypatch):
+        class TwoArgError(Exception):
+            def __init__(self, code, detail):
+                super().__init__(f"{code}: {detail}")
+                self.code = code
+
+        raised = TwoArgError(7, "bad fit")
+
+        def failing_fitter(s, a, cfg):
+            raise raised
+
+        monkeypatch.setitem(solvers.FITTERS, "failing", failing_fitter)
+        with pytest.raises(TwoArgError) as info:
+            experiment.loocv_fit(np.eye(3), np.ones(3), "failing")
+        assert info.value is raised
+        with pytest.raises(TwoArgError) as info:
+            experiment.evaluate(
+                tall_linear_book(), "final", approaches=("failing",),
+                scales=(gb.ACTUAL_SCALE,),
+            )
+        assert info.value is raised and info.value.code == 7
+
 
 class TestEvaluate:
     def test_report_shape_and_mae_arithmetic(self):
@@ -147,6 +169,14 @@ class TestEvaluate:
     def test_unknown_exam(self):
         with pytest.raises(gb.DataError, match="unknown exam"):
             experiment.evaluate(tall_linear_book(), "midterm")
+
+    def test_cell_errors_name_the_cell_and_fold(self):
+        cfg = SolverConfig(nnls_max_iterations=1)
+        with pytest.raises(ConvergenceError, match=r"nnls \(actual, include_exam\): fold 0"):
+            experiment.evaluate(
+                tall_linear_book(), "final", cfg,
+                scales=(gb.ACTUAL_SCALE,), approaches=(solvers.NNLS,),
+            )
 
     def test_get_raises_on_missing_cell(self):
         g = tall_linear_book()

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from examweight import solvers
-from examweight.solvers import SolverConfig, _huber_objective_and_grad
+from examweight import experiment, solvers, synthetic
+from examweight.solvers import _SIGMA_FLOOR, SolverConfig, _huber_objective_and_grad
 
 
 def concomitant_objective(s, a, w, c, sigma, eps, alpha):
@@ -108,6 +108,8 @@ class TestFitHuber:
         cfg = SolverConfig(huber_max_iterations=3)
         sol = solvers.fit_huber(s, a, cfg)
         assert not sol.converged
+        assert sol.stop_reason == solvers.STOP_ITERATION_CAP
+        assert sol.iterations == 3
         assert sol.gradient_norm is not None
 
     def test_gradient_matches_finite_differences(self):
@@ -124,3 +126,102 @@ class TestFitHuber:
             fp, _ = _huber_objective_and_grad(theta + d, s, a, 1.8, 0.3, n, m)
             fm, _ = _huber_objective_and_grad(theta - d, s, a, 1.8, 0.3, n, m)
             assert (fp - fm) / (2 * step) == pytest.approx(g[i], rel=1e-4, abs=1e-6)
+
+
+def seed7_huber_folds(cfg):
+    """Every Huber fold of evaluate on the default seed-7 cohort, both scales."""
+    book = synthetic.generate_gradebook(synthetic.SyntheticSpec(seed=7))
+    report = experiment.evaluate(book, "final", cfg, approaches=(solvers.HUBER,))
+    return [f for rec in report.records for f in rec.fold_weights]
+
+
+class TestStopReason:
+    def test_seed7_folds_stop_on_gradient(self):
+        folds = seed7_huber_folds(solvers.DEFAULT_CONFIG)
+        assert len(folds) == 18
+        assert all(f.stop_reason == solvers.STOP_GRADIENT for f in folds)
+        assert all(f.converged for f in folds)
+
+    def test_seed7_folds_converge_without_ridge(self):
+        # n < m and alpha = 0: the w block of the Hessian is singular
+        folds = seed7_huber_folds(SolverConfig(huber_regularization=0.0))
+        assert all(f.stop_reason == solvers.STOP_GRADIENT for f in folds)
+
+    def test_unreachable_tolerance_stalls_early(self):
+        rng = np.random.default_rng(9)
+        s = rng.random((10, 6))
+        a = rng.random(10) * 100
+        sol = solvers.fit_huber(s, a, SolverConfig(huber_tolerance=1e-300))
+        assert sol.stop_reason == solvers.STOP_STALLED
+        assert not sol.converged
+        assert sol.iterations < 50
+
+    def test_degenerate_epsilon_cohorts_never_hit_the_cap(self):
+        # the generator of acceptance criterion 4
+        rng = np.random.default_rng(5)
+        cfg = SolverConfig(
+            huber_epsilon=1e6, huber_regularization=0.0,
+            huber_tolerance=1e-11, huber_max_iterations=4000,
+        )
+        for _ in range(50):
+            n = int(rng.integers(8, 20))
+            m = int(rng.integers(2, 6))
+            s = rng.random((n, m))
+            a = s @ (rng.standard_normal(m) * 10) + 5 + rng.standard_normal(n)
+            assert solvers.fit_huber(s, a, cfg).stop_reason != solvers.STOP_ITERATION_CAP
+
+    def test_direct_solvers_have_no_stop_reason(self):
+        s = np.random.default_rng(2).random((6, 3))
+        a = s @ np.array([1.0, 2.0, 3.0])
+        for fit in (solvers.fit_ols_closed_form, solvers.fit_linear_intercept,
+                    solvers.fit_nnls):
+            assert fit(s, a).stop_reason is None
+
+
+def lbfgsb_oracle(s, a, eps, alpha):
+    """scipy L-BFGS-B on the documented objective over (w, c, sigma), with
+    sigma bounded below by fit_huber's floor; restarted until it stops
+    improving."""
+    optimize = pytest.importorskip("scipy.optimize")
+    n, m = s.shape
+
+    def fun(x):
+        w, c, sigma = x[:m], x[m], x[m + 1]
+        z = (a - c - s @ w) / sigma
+        quad = np.abs(z) <= eps
+        hprime = np.where(quad, 2.0 * z, 2.0 * eps * np.sign(z))
+        grad = np.concatenate([
+            -(s.T @ hprime) + 2.0 * alpha * w,
+            [-hprime.sum(), n - np.minimum(z * z, eps * eps).sum()],
+        ])
+        return concomitant_objective(s, a, w, c, sigma, eps, alpha), grad
+
+    x = np.concatenate([np.zeros(m), [a.mean(), a.std()]])
+    bounds = [(None, None)] * (m + 1) + [(_SIGMA_FLOOR * np.max(np.abs(a)), None)]
+    best = np.inf
+    for _ in range(20):
+        res = optimize.minimize(
+            fun, x, jac=True, method="L-BFGS-B", bounds=bounds,
+            options={"maxiter": 20000, "ftol": 1e-16, "gtol": 1e-13},
+        )
+        x = res.x
+        if not res.fun < best:
+            break
+        best = res.fun
+    return x[:m], x[m], x[m + 1]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_weights_match_lbfgsb_oracle(seed):
+    rng = np.random.default_rng(seed)
+    n, m = 15, 3
+    s = rng.random((n, m))
+    a = s @ (rng.random(m) * 40) + 10 + rng.standard_normal(n)
+    a[0] += 30.0  # one outlier in the absolute-loss regime
+    cfg = solvers.DEFAULT_CONFIG
+    w_o, c_o, sigma_o = lbfgsb_oracle(s, a, cfg.huber_epsilon, cfg.huber_regularization)
+    sol = solvers.fit_huber(s, a, cfg)
+    assert sol.stop_reason == solvers.STOP_GRADIENT
+    assert np.max(np.abs(sol.question_weights - w_o)) < 1e-6 * np.max(np.abs(w_o))
+    assert sol.intercept == pytest.approx(c_o, rel=1e-6)
+    assert sol.sigma == pytest.approx(sigma_o, rel=1e-6)
