@@ -79,7 +79,9 @@ def build_parser() -> _Parser:
     ev.add_argument("--scale", choices=["actual", "normalized", "both"], default="both")
     ev.add_argument("--compare-exclusion", action="store_true",
                     help="also evaluate with the exam excluded and report weight deltas")
-    ev.add_argument("--format", choices=["csv", "json"], default="csv")
+    ev.add_argument("--format", choices=["csv", "json"], default="csv",
+                    help="format of the --out report; json needs --out and "
+                         "does not combine with --compare-exclusion")
     ev.add_argument("--out", help="output path (default: stdout table)")
 
     an = sub.add_parser("analyze", help="question diagnostics")
@@ -108,6 +110,17 @@ def build_parser() -> _Parser:
     gen.add_argument("--exam", default="final")
     gen.add_argument("--out-dir", default=".", help="directory for the CSV files")
     return parser
+
+
+def _check_combinations(parser: _Parser, args) -> None:
+    """Usage errors that argparse cannot express on its own."""
+    if args.command != "evaluate" or args.format != "json":
+        return
+    if args.compare_exclusion:
+        parser.error("--format json cannot be combined with --compare-exclusion, "
+                     "which writes a CSV table")
+    if not args.out:
+        parser.error("--format json needs --out; the table printed to stdout is CSV")
 
 
 def _load(args) -> gb.Gradebook:
@@ -269,6 +282,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_combinations(parser, args)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:

@@ -8,7 +8,8 @@ the uniform/actual baselines bypass LOOCV since their weights are constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import inspect
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,21 +38,54 @@ def _with_context(exc: ConvergenceError | DataError, context: str) -> Exception:
     return kind(f"{context}: {exc}")
 
 
+# (fold solutions in student order, their coordinate-wise mean)
+Fit = tuple[list[WeightSolution], WeightSolution]
+
+
 def loocv_fit(
     s,
     a,
     solver: str,
     cfg: SolverConfig = solvers.DEFAULT_CONFIG,
-) -> tuple[list[WeightSolution], WeightSolution]:
+) -> Fit | list[Fit]:
     """n fits, fold k trained on all students except k, then averaged.
 
-    Returns (fold solutions in student order, coordinate-wise mean solution).
+    a is a vector of n targets, or an n-by-k matrix with one target per
+    column.  Returns (fold solutions in student order, coordinate-wise mean
+    solution) for a vector, and a list of k such pairs for a matrix.
+
+    For ols_closed_form and linear_intercept, when the design ([S, 1], or
+    the column-centered S) has full row rank (n, or n - 1 when centered),
+    every fold of every column comes from one SVD of the full design
+    (``solvers.LOO_FITTERS``, used while ``solvers.FITTERS`` holds the
+    solver's own fitter): fold k's minimum-norm solution is the full
+    design's with target k replaced by fold k's own prediction, the exact
+    leave-one-out identity behind PRESS (Allen 1974).  In the paper's regime
+    of fewer students than questions this is the usual case.  Otherwise
+    (a tall or rank-deficient design, or one so ill-conditioned that the
+    shared solve's error estimate passes linalg.LOO_RTOL), and for the
+    other solvers, each fold of each column is fit on its own.  A fold's
+    ConvergenceError or DataError is re-raised with the fold in its message
+    and the target's column index in its ``column`` attribute.
     """
     s = np.asarray(s, dtype=float)
     a = np.asarray(a, dtype=float)
-    n = len(a)
+    targets = a[:, None] if a.ndim == 1 else a
+    n = len(targets)
     if n < 2:
         raise ValueError("leave-one-out needs at least 2 students")
+    # Only while FITTERS holds the solver's own fitter (or a functools.wraps
+    # wrapper of it) may the shared path stand in for it.
+    shared = solvers.LOO_FITTERS.get(inspect.unwrap(solvers.FITTERS[solver]))
+    columns = shared(s, targets, cfg) if shared is not None else None
+    if columns is None:
+        columns = [_fold_fits(s, targets[:, t], solver, cfg, t) for t in range(targets.shape[1])]
+    fits = [(folds, _average(folds, solver)) for folds in columns]
+    return fits[0] if a.ndim == 1 else fits
+
+
+def _fold_fits(s, a, solver, cfg, column) -> list[WeightSolution]:
+    n = len(a)
     fitter = solvers.FITTERS[solver]
     folds: list[WeightSolution] = []
     for k in range(n):
@@ -59,15 +93,20 @@ def loocv_fit(
         try:
             folds.append(fitter(s[keep], a[keep], cfg))
         except (ConvergenceError, DataError) as exc:
-            raise _with_context(exc, f"fold {k}") from exc
-    averaged = WeightSolution(
+            err = _with_context(exc, f"fold {k}")
+            err.column = column
+            raise err from exc
+    return folds
+
+
+def _average(folds: list[WeightSolution], solver: str) -> WeightSolution:
+    return WeightSolution(
         question_weights=np.mean([f.question_weights for f in folds], axis=0),
         intercept=float(np.mean([f.intercept for f in folds])),
         solver_id=solver,
         converged=all(f.converged for f in folds),
         iterations=sum(f.iterations for f in folds),
     )
-    return folds, averaged
 
 
 @dataclass(frozen=True)
@@ -98,24 +137,16 @@ class EvaluationReport:
         raise KeyError(f"no record for ({approach}, {scale}, {exclusion})")
 
 
-def _solve_cell(s, target, approach, cfg, points, n):
+def _solve_approach(s, targets, approach, cfg, points) -> list[Fit]:
+    """One Fit per target column."""
+    n, k = targets.shape
     if approach == solvers.UNIFORM:
         sol = solvers.baseline_uniform(s.shape[1])
-        return [sol] * n, sol, ()
+        return [([sol] * n, sol)] * k
     if approach == solvers.ACTUAL:
         sol = solvers.baseline_actual(points)
-        return [sol] * n, sol, ()
-    folds, averaged = loocv_fit(s, target, approach, cfg)
-    bad = tuple(
-        k for k, f in enumerate(folds)
-        if not f.converged and (f.gradient_norm is None or f.gradient_norm >= _FOLD_GRADIENT_CEILING)
-    )
-    if bad:
-        raise ConvergenceError(
-            f"{approach}: folds {list(bad)} ended far from stationarity"
-        )
-    unconverged = tuple(k for k, f in enumerate(folds) if not f.converged)
-    return folds, averaged, unconverged
+        return [([sol] * n, sol)] * k
+    return loocv_fit(s, targets, approach, cfg)
 
 
 def evaluate(
@@ -126,41 +157,55 @@ def evaluate(
     exclusions: tuple[str, ...] = (gb.INCLUDE_EXAM,),
     approaches: tuple[str, ...] = APPROACHES,
 ) -> EvaluationReport:
-    """Mean-absolute-error comparison of all approaches on the chosen exam."""
+    """Mean-absolute-error comparison of all approaches on the chosen exam.
+
+    Each approach is fit to every (scale, exclusion) target in one
+    loocv_fit call, so the minimum-norm solvers factor the design once.
+    """
     if exam not in g.exams:
         raise gb.DataError(f"unknown exam {exam!r}")
     s = g.exams[exam]
     points = g.question_points(exam)
-    n = len(g.students)
-    records = []
-    for exclusion in exclusions:
-        for scale in scales:
-            target = gb.ability(g, exam, scale, exclusion).values
-            for approach in approaches:
-                try:
-                    folds, averaged, unconverged = _solve_cell(
-                        s, target, approach, cfg, points, n
-                    )
-                except (ConvergenceError, DataError) as exc:
-                    raise _with_context(
-                        exc, f"{approach} ({scale}, {exclusion})"
-                    ) from exc
-                preds = solvers.predict(averaged, s)
-                records.append(
-                    ApproachRecord(
-                        approach=approach,
-                        scale=scale,
-                        exclusion=exclusion,
-                        fold_weights=tuple(folds),
-                        averaged_weights=averaged,
-                        predictions=preds,
-                        target=target,
-                        mae=float(np.mean(np.abs(preds - target))),
-                        unconverged_folds=unconverged,
-                    )
+    cells = [(scale, exclusion) for exclusion in exclusions for scale in scales]
+    targets = np.column_stack(
+        [gb.ability(g, exam, scale, exclusion).values for scale, exclusion in cells]
+    )
+    records = [[] for _ in cells]
+    for approach in approaches:
+        try:
+            fits = _solve_approach(s, targets, approach, cfg, points)
+        except (ConvergenceError, DataError) as exc:
+            column = getattr(exc, "column", None)
+            where = approach if column is None else f"{approach} ({', '.join(cells[column])})"
+            raise _with_context(exc, where) from exc
+        for t, (scale, exclusion) in enumerate(cells):
+            folds, averaged = fits[t]
+            bad = [
+                k for k, f in enumerate(folds)
+                if not f.converged
+                and (f.gradient_norm is None or f.gradient_norm >= _FOLD_GRADIENT_CEILING)
+            ]
+            if bad:
+                raise ConvergenceError(
+                    f"{approach} ({scale}, {exclusion}): folds {bad} ended far from stationarity"
                 )
+            target = targets[:, t]
+            preds = solvers.predict(averaged, s)
+            records[t].append(ApproachRecord(
+                approach=approach,
+                scale=scale,
+                exclusion=exclusion,
+                fold_weights=tuple(folds),
+                averaged_weights=averaged,
+                predictions=preds,
+                target=target,
+                mae=float(np.mean(np.abs(preds - target))),
+                unconverged_folds=tuple(k for k, f in enumerate(folds) if not f.converged),
+            ))
     return EvaluationReport(
-        exam=exam, question_ids=g.question_ids(exam), records=tuple(records)
+        exam=exam,
+        question_ids=g.question_ids(exam),
+        records=tuple(rec for column in records for rec in column),
     )
 
 
@@ -192,8 +237,15 @@ def exclusion_comparison(
 ) -> ExclusionComparison:
     """Side-by-side MAE and per-question weight deltas for the two overall
     score computations (exam component included vs excluded)."""
-    inc = evaluate(g, exam, cfg, scales, (gb.INCLUDE_EXAM,))
-    exc = evaluate(g, exam, cfg, scales, (gb.EXCLUDE_EXAM,))
+    both = evaluate(g, exam, cfg, scales, (gb.INCLUDE_EXAM, gb.EXCLUDE_EXAM))
+    inc, exc = (
+        EvaluationReport(
+            exam=exam,
+            question_ids=both.question_ids,
+            records=tuple(r for r in both.records if r.exclusion == exclusion),
+        )
+        for exclusion in (gb.INCLUDE_EXAM, gb.EXCLUDE_EXAM)
+    )
     deltas = []
     for scale in scales:
         for approach in APPROACHES:

@@ -64,6 +64,12 @@ class SolverConfig:
                 raise ValueError(f"{name} must be positive")
         if self.rank_cutoff is not None and not self.rank_cutoff > 0:
             raise ValueError("rank_cutoff must be positive")
+        caps = {"huber_max_iterations": self.huber_max_iterations}
+        if self.nnls_max_iterations is not None:
+            caps["nnls_max_iterations"] = self.nnls_max_iterations
+        for name, cap in caps.items():
+            if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap < 1:
+                raise ValueError(f"{name} must be a positive integer, got {cap!r}")
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -125,6 +131,61 @@ def fit_linear_intercept(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolu
     return WeightSolution(
         question_weights=w, intercept=intercept, solver_id=LINEAR_INTERCEPT
     )
+
+
+def _loo_solutions(weights, intercepts, solver_id) -> list[list[WeightSolution]]:
+    """[column][fold] solutions from (n, m, k) weights and (n, k) intercepts."""
+    n, _, k = weights.shape
+    return [
+        [
+            WeightSolution(
+                question_weights=weights[j, :, t],
+                intercept=float(intercepts[j, t]),
+                solver_id=solver_id,
+            )
+            for j in range(n)
+        ]
+        for t in range(k)
+    ]
+
+
+def loo_ols_closed_form(s, targets, cfg: SolverConfig = DEFAULT_CONFIG):
+    """fit_ols_closed_form on every leave-one-out fold, for every column of
+    the n-by-k targets, from one SVD of the augmented design.
+
+    Returns [column][fold] solutions, or None when linalg.loo_min_norm
+    declines the augmented design (not of full row rank, or an estimated
+    error past linalg.LOO_RTOL); its folds are then fit one by one.
+    """
+    s = linalg.as_matrix(s)
+    n, m = s.shape
+    aug = np.hstack([s, np.ones((n, 1))])
+    x = linalg.loo_min_norm(aug, targets, cfg.rank_cutoff)
+    if x is None:
+        return None
+    return _loo_solutions(x[:, :m], x[:, m], OLS_CLOSED_FORM)
+
+
+def loo_linear_intercept(s, targets, cfg: SolverConfig = DEFAULT_CONFIG):
+    """fit_linear_intercept on every leave-one-out fold, for every column of
+    the n-by-k targets, from one SVD of the centered design.
+
+    Fold j's intercept comes from fold j's own means, as in the single fit.
+    Returns [column][fold] solutions, or None when linalg.loo_min_norm
+    declines the centered design (rank below n - 1, or an estimated error
+    past linalg.LOO_RTOL); its folds are then fit one by one.
+    """
+    s = linalg.as_matrix(s)
+    w = linalg.loo_min_norm(s, targets, cfg.rank_cutoff, centered=True)
+    if w is None:
+        return None
+    n = len(s)
+    targets = np.asarray(targets, dtype=float)
+    # row j: the means over every student but j
+    col_means = (s.sum(axis=0) - s) / (n - 1)
+    target_means = (targets.sum(axis=0) - targets) / (n - 1)
+    intercepts = target_means - np.einsum("jm,jmk->jk", col_means, w)
+    return _loo_solutions(w, intercepts, LINEAR_INTERCEPT)
 
 
 def _huber_objective_and_grad(theta, s, a, eps, alpha, n, m):
@@ -370,4 +431,10 @@ FITTERS = {
     LINEAR_INTERCEPT: fit_linear_intercept,
     HUBER: fit_huber,
     NNLS: fit_nnls,
+}
+
+# The one-factorization leave-one-out form of each fitter that has one.
+LOO_FITTERS = {
+    fit_ols_closed_form: loo_ols_closed_form,
+    fit_linear_intercept: loo_linear_intercept,
 }

@@ -83,6 +83,25 @@ class TestEvaluate:
         payload = json.loads(out_path.read_text(encoding="utf-8"))
         assert set(payload) == {"mae", "weights"}
 
+    def test_json_to_stdout_is_a_usage_error(self, files, capsys):
+        code, out, err = run_cli(
+            ["evaluate", *gradebook_args(files), "--format", "json"], capsys
+        )
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert "--format json needs --out" in err
+
+    def test_json_with_compare_exclusion_is_a_usage_error(self, files, tmp_path, capsys):
+        out_path = tmp_path / "x.json"
+        code, _, err = run_cli(
+            ["evaluate", *gradebook_args(files), "--compare-exclusion",
+             "--format", "json", "--out", str(out_path)],
+            capsys,
+        )
+        assert code == cli.EXIT_USAGE
+        assert "--format json cannot be combined with --compare-exclusion" in err
+        assert not out_path.exists()
+
     def test_compare_exclusion(self, files, capsys):
         code, out, _ = run_cli(
             ["evaluate", *gradebook_args(files), "--compare-exclusion",

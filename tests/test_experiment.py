@@ -1,9 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from examweight import experiment, gradebook as gb, solvers
+from examweight import experiment, gradebook as gb, linalg, solvers, synthetic
 from examweight.errors import ConvergenceError
 from examweight.solvers import SolverConfig
 
@@ -95,6 +97,190 @@ class TestLoocvFit:
         assert info.value is raised and info.value.code == 7
 
 
+MIN_NORM = (solvers.OLS_CLOSED_FORM, solvers.LINEAR_INTERCEPT)
+
+
+def min_norm_design(s, solver):
+    """The matrix whose row rank decides the shared path, and that rank."""
+    n = len(s)
+    if solver == solvers.OLS_CLOSED_FORM:
+        return np.hstack([s, np.ones((n, 1))]), n
+    return s - s.mean(axis=0), n - 1
+
+
+def per_fold(s, a, solver):
+    fitter = solvers.FITTERS[solver]
+    return [fitter(np.delete(s, k, axis=0), np.delete(a, k), solvers.DEFAULT_CONFIG)
+            for k in range(len(a))]
+
+
+def keeps_rounding_direction(s, k):
+    """Whether fit_linear_intercept on fold k keeps a singular direction of
+    the centered fold design that is exactly null: its rows sum to zero, so
+    its rank is at most rows - 1, yet rounding can lift the next singular
+    value over the relative cutoff when the fold's spread is small."""
+    fold = np.delete(s, k, axis=0)
+    sigma = np.linalg.svd(fold - fold.mean(axis=0), compute_uv=False)
+    rows = len(fold)
+    cutoff = linalg.default_rank_cutoff(*fold.shape)
+    return rows <= len(sigma) and sigma[rows - 1] > cutoff * sigma[0]
+
+
+def projected_fold(s, a, k):
+    """Fold k's linear_intercept solution with the centering done by an
+    orthonormal basis of the zero-sum vectors, which has no null direction."""
+    fold, target = np.delete(s, k, axis=0), np.delete(a, k)
+    rows = len(fold)
+    basis = np.linalg.qr(np.eye(rows)[:, 1:] - np.eye(rows)[:, :1])[0]
+    w = np.linalg.lstsq(basis.T @ fold, basis.T @ target, rcond=None)[0]
+    return solvers.WeightSolution(
+        question_weights=w, intercept=float(target.mean() - fold.mean(axis=0) @ w),
+        solver_id=solvers.LINEAR_INTERCEPT,
+    )
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    seen = []
+    original = linalg.svd
+
+    def counting(a):
+        seen.append(np.shape(a))
+        return original(a)
+
+    monkeypatch.setattr(linalg, "svd", counting)
+    return seen
+
+
+class TestSharedLoo:
+    """The one-SVD leave-one-out path of the minimum-norm solvers against the
+    per-fold loop it replaces, which stays as the fallback."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 15),
+        st.integers(0, 20),
+        st.sampled_from([None, 1e-1, 1e-3, 1e-6]),
+        st.integers(1, 4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_fold_loop(self, seed, n, extra, near_duplicate, k):
+        rng = np.random.default_rng(seed)
+        s = rng.random((n, n - 1 + extra))
+        m = s.shape[1]
+        if m >= 3:
+            s[:, 0] = 0.0  # nobody answered
+            s[:, 1] = 1.0  # everybody answered
+            s[:, 2] = s[:, -1]  # duplicate question
+        if near_duplicate is not None:
+            s[-1] = s[0] + near_duplicate * rng.standard_normal(m)
+        targets = 100.0 * rng.random((n, k))
+        for solver in MIN_NORM:
+            design, rank = min_norm_design(s, solver)
+            sigma = np.linalg.svd(design, compute_uv=False)
+            shared = solvers.LOO_FITTERS[solvers.FITTERS[solver]](s, targets)
+            cutoff = linalg.default_rank_cutoff(n - 1, design.shape[1])
+            if not sigma[rank - 1] > cutoff * sigma[0]:
+                assert shared is None
+                continue
+            cond = sigma[0] / sigma[rank - 1]
+            if shared is None:
+                continue  # declined by its error estimate; fallback tested below
+            tol = 1e-10 if cond <= 1e4 else 100 * cond * np.finfo(float).eps
+            for t in range(k):
+                for j, (got, want) in enumerate(zip(shared[t], per_fold(s, targets[:, t], solver))):
+                    if solver == solvers.LINEAR_INTERCEPT and keeps_rounding_direction(s, j):
+                        # the per-fold fit is wrong here; see keeps_rounding_direction
+                        want = projected_fold(s, targets[:, t], j)
+                    x_got = np.append(got.question_weights, got.intercept)
+                    x_want = np.append(want.question_weights, want.intercept)
+                    err = np.linalg.norm(x_got - x_want) / np.linalg.norm(x_want)
+                    assert err <= tol, f"{solver}: cond {cond:.3g}, error {err:.3g}"
+
+    def test_near_repeated_student_with_a_near_equal_target(self):
+        # X0 stays moderate, so the error estimate lets this cond ~1e4 design
+        # through; truncating the centered SVD at rank n - 1 instead of
+        # factoring on the zero-sum basis missed by 6e-9 here
+        rng = np.random.default_rng(0)
+        s = rng.random((8, 20))
+        s[-1] = s[0] + 1e-4 * rng.standard_normal(20)
+        targets = 100.0 * rng.random((8, 2))
+        targets[-1] = targets[0] + 1e-2 * rng.standard_normal(2)
+        shared = solvers.loo_linear_intercept(s, targets)
+        assert shared is not None
+        for t in range(2):
+            for got, want in zip(shared[t], per_fold(s, targets[:, t], solvers.LINEAR_INTERCEPT)):
+                x_got = np.append(got.question_weights, got.intercept)
+                x_want = np.append(want.question_weights, want.intercept)
+                assert np.linalg.norm(x_got - x_want) <= 1e-10 * np.linalg.norm(x_want)
+
+    @pytest.mark.parametrize("solver", MIN_NORM)
+    @pytest.mark.parametrize("design", ["tall", "repeated_rows"])
+    def test_fallback_gives_per_fold_results(self, solver, design, svd_calls):
+        rng = np.random.default_rng(11)
+        if design == "tall":
+            s, shared_svds = rng.random((12, 4)), 0
+        else:
+            s, shared_svds = rng.random((6, 20)), 1
+            s[3] = s[1]
+        n = len(s)
+        targets = 100.0 * rng.random((n, 2))
+        assert solvers.LOO_FITTERS[solvers.FITTERS[solver]](s, targets) is None
+        del svd_calls[:]
+        fits = experiment.loocv_fit(s, targets, solver)
+        assert len(svd_calls) == shared_svds + 2 * n
+        for t, (folds, avg) in enumerate(fits):
+            expect = per_fold(s, targets[:, t], solver)
+            for got, want in zip(folds, expect):
+                np.testing.assert_array_equal(got.question_weights, want.question_weights)
+                assert got.intercept == want.intercept
+            np.testing.assert_array_equal(
+                avg.question_weights, np.mean([f.question_weights for f in expect], axis=0)
+            )
+
+    def test_a_replaced_fitter_is_used_for_every_fold(self, monkeypatch, svd_calls):
+        s = np.random.default_rng(4).random((5, 8))
+        original = solvers.FITTERS[solvers.OLS_CLOSED_FORM]
+        seen = []
+
+        def replacement(s, a, cfg):
+            seen.append(len(a))
+            return original(s, a, cfg)
+
+        monkeypatch.setitem(solvers.FITTERS, solvers.OLS_CLOSED_FORM, replacement)
+        experiment.loocv_fit(s, np.arange(5.0), solvers.OLS_CLOSED_FORM)
+        assert seen == [4] * 5
+
+        # a functools.wraps wrapper stands for the fitter it wraps
+        monkeypatch.setitem(solvers.FITTERS, solvers.OLS_CLOSED_FORM,
+                            functools.wraps(original)(replacement))
+        del seen[:], svd_calls[:]
+        experiment.loocv_fit(s, np.arange(5.0), solvers.OLS_CLOSED_FORM)
+        assert seen == [] and svd_calls == [(5, 9)]
+
+    def test_vector_target_gives_one_pair(self):
+        s = np.random.default_rng(2).random((5, 8))
+        a = np.arange(5.0)
+        folds, avg = experiment.loocv_fit(s, a, solvers.LINEAR_INTERCEPT)
+        [(folds2, avg2)] = experiment.loocv_fit(s, a[:, None], solvers.LINEAR_INTERCEPT)
+        assert len(folds) == 5
+        np.testing.assert_array_equal(avg.question_weights, avg2.question_weights)
+
+    def test_evaluate_factors_each_min_norm_design_once(self, svd_calls):
+        book = synthetic.generate_gradebook(
+            synthetic.SyntheticSpec(seed=3, students=12, noise=4.0)
+        )
+        n, m = book.exams["final"].shape
+        assert n < m
+        rep = experiment.evaluate(
+            book, "final", exclusions=(gb.INCLUDE_EXAM, gb.EXCLUDE_EXAM),
+            approaches=MIN_NORM,
+        )
+        assert len(rep.records) == 8  # 2 approaches x 4 targets
+        # the centered design is factored on a basis of the zero-sum vectors
+        assert svd_calls == [(n, m + 1), (n - 1, m)]
+
+
 class TestEvaluate:
     def test_report_shape_and_mae_arithmetic(self):
         g = tall_linear_book()
@@ -177,6 +363,22 @@ class TestEvaluate:
                 tall_linear_book(), "final", cfg,
                 scales=(gb.ACTUAL_SCALE,), approaches=(solvers.NNLS,),
             )
+
+    def test_errors_name_the_failing_target_column(self, monkeypatch):
+        # targets of one approach are fit together; the error still names
+        # the (scale, exclusion) cell whose fold failed
+        calls = []
+
+        def fails_on_second_target(s, a, cfg):
+            calls.append(1)
+            if len(calls) > len(a) + 1:  # past the first target's folds
+                raise ConvergenceError("boom")
+            return solvers.fit_nnls(s, a, cfg)
+
+        monkeypatch.setitem(solvers.FITTERS, "flaky", fails_on_second_target)
+        with pytest.raises(ConvergenceError,
+                           match=r"^flaky \(normalized, include_exam\): fold 0: boom$"):
+            experiment.evaluate(tall_linear_book(), "final", approaches=("flaky",))
 
     def test_get_raises_on_missing_cell(self):
         g = tall_linear_book()

@@ -94,6 +94,15 @@ class TestSvdCallers:
         linalg.solve_min_norm(np.ones((4, 2)), np.ones(4))
         assert calls == [(4, 2)]
 
+    def test_loo_min_norm_calls_svd_once(self, calls):
+        linalg.loo_min_norm(np.eye(3, 5), np.ones((3, 2)))
+        assert calls == [(3, 5)]
+
+    def test_loo_min_norm_skips_svd_when_too_tall(self, calls):
+        assert linalg.loo_min_norm(np.ones((4, 2)), np.ones((4, 1))) is None
+        assert linalg.loo_min_norm(np.ones((4, 2)), np.ones((4, 1)), centered=True) is None
+        assert calls == []
+
 
 class TestPinv:
     def test_rank_deficient_diagonal(self):
@@ -183,3 +192,65 @@ class TestSolveMinNorm:
         x1 = linalg.solve_min_norm(a, c * y)
         x2 = c * linalg.solve_min_norm(a, y)
         assert np.max(np.abs(x1 - x2)) <= 1e-10 * max(1.0, np.max(np.abs(x2)))
+
+
+class TestLooMinNorm:
+    def test_identity_folds(self):
+        # fold 0 keeps row (0, 1) with target 2; fold 1 keeps (1, 0) with 1
+        x = linalg.loo_min_norm(np.eye(2), [[1.0], [2.0]])
+        np.testing.assert_allclose(x[:, :, 0], [[0.0, 2.0], [1.0, 0.0]], atol=1e-15)
+
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_per_fold_solve(self, seed, centered):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 8))
+        a = rng.standard_normal((n, n + int(rng.integers(0, 5))))
+        ys = rng.standard_normal((n, 3))
+        x = linalg.loo_min_norm(a, ys, centered=centered)
+        for j in range(n):
+            keep = np.arange(n) != j
+            fa, fy = a[keep], ys[keep]
+            if centered:
+                fa, fy = fa - fa.mean(axis=0), fy - fy.mean(axis=0)
+            for t in range(3):
+                np.testing.assert_allclose(
+                    x[j, :, t], linalg.solve_min_norm(fa, fy[:, t]), rtol=1e-10, atol=1e-10
+                )
+
+    def test_repeated_row_is_not_full_rank(self):
+        a = np.array([[1.0, 2.0, 3.0], [0.0, 1.0, 0.0], [1.0, 2.0, 3.0]])
+        ys = np.array([[1.0], [2.0], [4.0]])
+        assert linalg.loo_min_norm(a, ys) is None
+        assert linalg.loo_min_norm(a, ys, centered=True) is None
+        # three distinct rows: rank 3, and rank 2 = n - 1 once centered
+        a[2, 0] = 2.0
+        assert linalg.loo_min_norm(a, ys) is not None
+        assert linalg.loo_min_norm(a, ys, centered=True) is not None
+
+    def test_cutoff_decides_rank(self):
+        a = np.array([[1.0, 0.0, 0.0], [0.0, 1e-3, 0.0]])
+        ys = np.array([[1.0], [1e-3]])
+        assert linalg.loo_min_norm(a, ys) is not None
+        assert linalg.loo_min_norm(a, ys, rank_cutoff=1e-2) is None
+
+    def test_inaccurate_folds_are_declined(self):
+        # full row rank, but fold 1's solution (1, 0, 0) would come out of
+        # cancelling two vectors of norm 1e7
+        a = np.array([[1.0, 1e-7, 0.0], [1.0, 0.0, 0.0]])
+        assert np.linalg.matrix_rank(a) == 2
+        assert linalg.loo_min_norm(a, np.array([[2.0], [1.0]])) is None
+
+    def test_two_rows_centered_are_declined(self):
+        # each fold is one row, whose centered solution is exactly zero;
+        # the shared path would leave rounding of X0's size in its place
+        a = np.array([[0.2, 0.7, 0.1], [0.9, 0.3, 0.4]])
+        assert linalg.loo_min_norm(a, np.array([[10.0], [20.0]]), centered=True) is None
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="at least 2 rows"):
+            linalg.loo_min_norm(np.ones((1, 3)), np.ones((1, 1)))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            linalg.loo_min_norm(np.eye(2, 3), np.ones((3, 1)))
+        with pytest.raises(ValueError, match="2-D"):
+            linalg.loo_min_norm(np.eye(2, 3), np.ones(2))

@@ -236,6 +236,17 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="nnls_tolerance"):
             SolverConfig(nnls_tolerance=0.0)
 
+    @pytest.mark.parametrize("name", ["huber_max_iterations", "nnls_max_iterations"])
+    @pytest.mark.parametrize("cap", [0, -1, -2, 2.5, 3.0, True, "5"])
+    def test_rejects_non_positive_integer_caps(self, name, cap):
+        with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+            SolverConfig(**{name: cap})
+
+    def test_accepts_positive_integer_caps(self):
+        cfg = SolverConfig(huber_max_iterations=np.int64(7), nnls_max_iterations=1)
+        assert cfg.huber_max_iterations == 7
+        assert SolverConfig(nnls_max_iterations=None).nnls_max_iterations is None
+
     def test_defaults(self):
         cfg = SolverConfig()
         assert cfg.huber_epsilon == 1.8
