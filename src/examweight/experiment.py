@@ -56,9 +56,10 @@ def loocv_fit(
 
     For ols_closed_form and linear_intercept, when the design ([S, 1], or
     the column-centered S) has full row rank (n, or n - 1 when centered),
-    every fold of every column comes from one SVD of the full design
-    (``solvers.LOO_FITTERS``, used while ``solvers.FITTERS`` holds the
-    solver's own fitter): fold k's minimum-norm solution is the full
+    every fold of every column comes from one SVD of the full design, in
+    one call of ``solvers.FITTERS[solver]`` with ``leave_one_out=True``
+    (made for any entry whose signature takes that keyword, so a wrapper
+    of the fitter sees the call): fold k's minimum-norm solution is the full
     design's with target k replaced by fold k's own prediction, the exact
     leave-one-out identity behind PRESS (Allen 1974).  In the paper's regime
     of fewer students than questions this is the usual case.  Otherwise
@@ -74,10 +75,10 @@ def loocv_fit(
     n = len(targets)
     if n < 2:
         raise ValueError("leave-one-out needs at least 2 students")
-    # Only while FITTERS holds the solver's own fitter (or a functools.wraps
-    # wrapper of it) may the shared path stand in for it.
-    shared = solvers.LOO_FITTERS.get(inspect.unwrap(solvers.FITTERS[solver]))
-    columns = shared(s, targets, cfg) if shared is not None else None
+    fitter = solvers.FITTERS[solver]
+    columns = None
+    if "leave_one_out" in inspect.signature(fitter).parameters:
+        columns = fitter(s, targets, cfg, leave_one_out=True)
     if columns is None:
         columns = [_fold_fits(s, targets[:, t], solver, cfg, t) for t in range(targets.shape[1])]
     fits = [(folds, _average(folds, solver)) for folds in columns]

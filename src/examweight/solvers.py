@@ -101,13 +101,23 @@ def _check_design(s, a) -> tuple[np.ndarray, np.ndarray]:
     return s, a
 
 
-def fit_ols_closed_form(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
+def fit_ols_closed_form(
+    s, a, cfg: SolverConfig = DEFAULT_CONFIG, *, leave_one_out: bool = False
+) -> WeightSolution | list[list[WeightSolution]] | None:
     """Least squares on the design augmented with an unscaled all-ones column.
 
     The minimum-norm solution of the augmented system; the bias column's
     coordinate becomes the intercept, so a question everyone answered
     correctly receives exactly the intercept's weight.
+
+    With leave_one_out, a holds k targets as the columns of an n-by-k matrix
+    and the result is the fit of every leave-one-out fold of every column,
+    [column][fold], from one SVD of the augmented design; None when
+    linalg.loo_min_norm declines that design (not of full row rank, or an
+    estimated error past linalg.LOO_RTOL), so that each fold is fit alone.
     """
+    if leave_one_out:
+        return _loo_ols_closed_form(s, a, cfg)
     s, a = _check_design(s, a)
     n, m = s.shape
     aug = np.hstack([s, np.ones((n, 1))])
@@ -117,13 +127,21 @@ def fit_ols_closed_form(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolut
     )
 
 
-def fit_linear_intercept(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
+def fit_linear_intercept(
+    s, a, cfg: SolverConfig = DEFAULT_CONFIG, *, leave_one_out: bool = False
+) -> WeightSolution | list[list[WeightSolution]] | None:
     """Centered least squares: columns and target are de-meaned before the
     minimum-norm solve, and the intercept is recovered from the means.
 
     Training residuals have exactly zero mean; a constant column (e.g. a
     question everyone answered) centers to zero and gets weight 0.
+
+    With leave_one_out, as for fit_ols_closed_form, from one SVD of the
+    centered design; None when that has rank below n - 1 or an estimated
+    error past linalg.LOO_RTOL.
     """
+    if leave_one_out:
+        return _loo_linear_intercept(s, a, cfg)
     s, a = _check_design(s, a)
     col_means = s.mean(axis=0)
     w = linalg.solve_min_norm(s - col_means, a - a.mean(), cfg.rank_cutoff)
@@ -149,14 +167,7 @@ def _loo_solutions(weights, intercepts, solver_id) -> list[list[WeightSolution]]
     ]
 
 
-def loo_ols_closed_form(s, targets, cfg: SolverConfig = DEFAULT_CONFIG):
-    """fit_ols_closed_form on every leave-one-out fold, for every column of
-    the n-by-k targets, from one SVD of the augmented design.
-
-    Returns [column][fold] solutions, or None when linalg.loo_min_norm
-    declines the augmented design (not of full row rank, or an estimated
-    error past linalg.LOO_RTOL); its folds are then fit one by one.
-    """
+def _loo_ols_closed_form(s, targets, cfg):
     s = linalg.as_matrix(s)
     n, m = s.shape
     aug = np.hstack([s, np.ones((n, 1))])
@@ -166,22 +177,14 @@ def loo_ols_closed_form(s, targets, cfg: SolverConfig = DEFAULT_CONFIG):
     return _loo_solutions(x[:, :m], x[:, m], OLS_CLOSED_FORM)
 
 
-def loo_linear_intercept(s, targets, cfg: SolverConfig = DEFAULT_CONFIG):
-    """fit_linear_intercept on every leave-one-out fold, for every column of
-    the n-by-k targets, from one SVD of the centered design.
-
-    Fold j's intercept comes from fold j's own means, as in the single fit.
-    Returns [column][fold] solutions, or None when linalg.loo_min_norm
-    declines the centered design (rank below n - 1, or an estimated error
-    past linalg.LOO_RTOL); its folds are then fit one by one.
-    """
+def _loo_linear_intercept(s, targets, cfg):
     s = linalg.as_matrix(s)
     w = linalg.loo_min_norm(s, targets, cfg.rank_cutoff, centered=True)
     if w is None:
         return None
     n = len(s)
     targets = np.asarray(targets, dtype=float)
-    # row j: the means over every student but j
+    # row j: the means over every student but j, as fold j's own fit uses
     col_means = (s.sum(axis=0) - s) / (n - 1)
     target_means = (targets.sum(axis=0) - targets) / (n - 1)
     intercepts = target_means - np.einsum("jm,jmk->jk", col_means, w)
@@ -426,15 +429,14 @@ def predict(sol: WeightSolution, s) -> np.ndarray:
     return sol.intercept + s @ sol.question_weights
 
 
+# Each entry is called as fitter(s, a, cfg) for one fit.  An entry whose
+# signature takes leave_one_out is first called once per leave-one-out run
+# by experiment.loocv_fit, and per fold only when that returns None; a
+# functools.wraps wrapper reports the signature of the fitter it wraps, so
+# it must pass that keyword through.
 FITTERS = {
     OLS_CLOSED_FORM: fit_ols_closed_form,
     LINEAR_INTERCEPT: fit_linear_intercept,
     HUBER: fit_huber,
     NNLS: fit_nnls,
-}
-
-# The one-factorization leave-one-out form of each fitter that has one.
-LOO_FITTERS = {
-    fit_ols_closed_form: loo_ols_closed_form,
-    fit_linear_intercept: loo_linear_intercept,
 }

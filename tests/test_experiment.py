@@ -178,7 +178,7 @@ class TestSharedLoo:
         for solver in MIN_NORM:
             design, rank = min_norm_design(s, solver)
             sigma = np.linalg.svd(design, compute_uv=False)
-            shared = solvers.LOO_FITTERS[solvers.FITTERS[solver]](s, targets)
+            shared = solvers.FITTERS[solver](s, targets, leave_one_out=True)
             cutoff = linalg.default_rank_cutoff(n - 1, design.shape[1])
             if not sigma[rank - 1] > cutoff * sigma[0]:
                 assert shared is None
@@ -206,7 +206,7 @@ class TestSharedLoo:
         s[-1] = s[0] + 1e-4 * rng.standard_normal(20)
         targets = 100.0 * rng.random((8, 2))
         targets[-1] = targets[0] + 1e-2 * rng.standard_normal(2)
-        shared = solvers.loo_linear_intercept(s, targets)
+        shared = solvers.fit_linear_intercept(s, targets, leave_one_out=True)
         assert shared is not None
         for t in range(2):
             for got, want in zip(shared[t], per_fold(s, targets[:, t], solvers.LINEAR_INTERCEPT)):
@@ -225,7 +225,7 @@ class TestSharedLoo:
             s[3] = s[1]
         n = len(s)
         targets = 100.0 * rng.random((n, 2))
-        assert solvers.LOO_FITTERS[solvers.FITTERS[solver]](s, targets) is None
+        assert solvers.FITTERS[solver](s, targets, leave_one_out=True) is None
         del svd_calls[:]
         fits = experiment.loocv_fit(s, targets, solver)
         assert len(svd_calls) == shared_svds + 2 * n
@@ -251,12 +251,27 @@ class TestSharedLoo:
         experiment.loocv_fit(s, np.arange(5.0), solvers.OLS_CLOSED_FORM)
         assert seen == [4] * 5
 
-        # a functools.wraps wrapper stands for the fitter it wraps
+        # a functools.wraps wrapper reports the fitter's signature, so it is
+        # called once for the whole run, with the keyword passed through
+        keywords = []
+
+        @functools.wraps(original)
+        def passing(*args, **kwargs):
+            keywords.append(kwargs)
+            return original(*args, **kwargs)
+
+        monkeypatch.setitem(solvers.FITTERS, solvers.OLS_CLOSED_FORM, passing)
+        del svd_calls[:]
+        experiment.loocv_fit(s, np.arange(5.0), solvers.OLS_CLOSED_FORM)
+        assert keywords == [{"leave_one_out": True}] and svd_calls == [(5, 9)]
+
+        # one that cannot take the keyword fails instead of being skipped
         monkeypatch.setitem(solvers.FITTERS, solvers.OLS_CLOSED_FORM,
                             functools.wraps(original)(replacement))
-        del seen[:], svd_calls[:]
-        experiment.loocv_fit(s, np.arange(5.0), solvers.OLS_CLOSED_FORM)
-        assert seen == [] and svd_calls == [(5, 9)]
+        del seen[:]
+        with pytest.raises(TypeError, match="leave_one_out"):
+            experiment.loocv_fit(s, np.arange(5.0), solvers.OLS_CLOSED_FORM)
+        assert seen == []
 
     def test_vector_target_gives_one_pair(self):
         s = np.random.default_rng(2).random((5, 8))
