@@ -8,8 +8,10 @@ EXAMWEIGHT_STRICT=1), 64 usage error.
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import analysis, dataio, experiment
@@ -147,14 +149,8 @@ def _scales(flag: str) -> tuple[str, ...]:
 
 
 def _print_csv(header, rows, out: str | None) -> None:
-    import csv as _csv
-    if out:
-        with open(out, "w", newline="", encoding="utf-8") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-    else:
-        writer = _csv.writer(sys.stdout)
+    with open(out, "w", newline="", encoding="utf-8") if out else nullcontext(sys.stdout) as fh:
+        writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
 
@@ -287,13 +283,10 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA_ERROR
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except ValueError as exc:
+    except (DataError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA_ERROR
 

@@ -26,7 +26,7 @@ import numpy as np
 from . import gradebook as gb
 from .analysis import QuestionDiagnostic
 from .errors import DataError
-from .experiment import APPROACHES, EvaluationReport, ExclusionComparison
+from .experiment import APPROACHES, EvaluationReport
 
 KIND_CODES = {
     "mc": gb.MULTIPLE_CHOICE,
@@ -54,6 +54,13 @@ def _read_rows(path: Path) -> list[list[str]]:
             return list(csv.reader(fh))
     except OSError as exc:
         raise DataError(f"{path}: {exc}") from exc
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _add_student(students: dict[str, int], student: str, path: Path, row: int) -> None:
@@ -105,6 +112,9 @@ def _load_scores(path: Path, question_ids: tuple[str, ...]) -> tuple[tuple[str, 
     if not rows or not rows[0] or rows[0][0] != "student":
         raise DataError(f"{path}: first header must be 'student'")
     header_ids = rows[0][1:]
+    repeated = sorted({q for q in header_ids if header_ids.count(q) > 1})
+    if repeated:
+        raise DataError(f"{path}: repeated question ids in header: {repeated}")
     unknown = [q for q in header_ids if q not in question_ids]
     if unknown:
         raise DataError(f"{path}: unknown question ids in header: {unknown}")
@@ -204,27 +214,21 @@ def write_gradebook_files(book: gb.Gradebook, out_dir: Path | str) -> GradebookF
     for exam in sorted(book.exams):
         spath = out_dir / f"{exam}_scores.csv"
         qpath = out_dir / f"{exam}_questions.csv"
-        ids = book.question_ids(exam)
-        with open(spath, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["student", *ids])
-            for i, student in enumerate(book.students):
-                writer.writerow([student, *(repr(float(v)) for v in book.exams[exam][i])])
-        with open(qpath, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["id", "kind", "max_points", "parent"])
-            for q in book.questions[exam]:
-                writer.writerow([q.id, KIND_NAMES[q.kind], repr(float(q.max_points)), q.parent or ""])
+        _write_csv(spath, ["student", *book.question_ids(exam)], (
+            [student, *(repr(float(v)) for v in book.exams[exam][i])]
+            for i, student in enumerate(book.students)
+        ))
+        _write_csv(qpath, ["id", "kind", "max_points", "parent"], (
+            [q.id, KIND_NAMES[q.kind], repr(float(q.max_points)), q.parent or ""]
+            for q in book.questions[exam]
+        ))
         scores_paths[exam] = spath
         questions_paths[exam] = qpath
     cpath = out_dir / "components.csv"
-    with open(cpath, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(COMPONENT_HEADERS)
-        for i, student in enumerate(book.students):
-            writer.writerow(
-                [student, *(repr(float(book.components[name][i])) for name in gb.COMPONENTS)]
-            )
+    _write_csv(cpath, COMPONENT_HEADERS, (
+        [student, *(repr(float(book.components[name][i])) for name in gb.COMPONENTS)]
+        for i, student in enumerate(book.students)
+    ))
     return GradebookFileSet(scores=scores_paths, questions=questions_paths, components=cpath)
 
 
@@ -278,15 +282,9 @@ def write_report(report: EvaluationReport, path: Path | str, format: str = "csv"
     wrows = weight_rows(report)
     try:
         if format == "csv":
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(header)
-                writer.writerows(rows)
             wpath = path.with_name(path.stem + "_weights.csv")
-            with open(wpath, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["exam", "solver", "scale", "question", "weight"])
-                writer.writerows(wrows)
+            _write_csv(path, header, rows)
+            _write_csv(wpath, ["exam", "solver", "scale", "question", "weight"], wrows)
             return [path, wpath]
         if format == "json":
             payload = {
@@ -311,26 +309,13 @@ def write_diagnostics(
     """Serialize diagnostics; distribution abilities are rounded to 2 decimals
     here, at the reporting boundary."""
     path = Path(path)
+    fields = ["question", "student", "score", "ability", "flags"]
     rows = []
     for diag in diagnostics:
-        if diag.distribution:
-            for student, score, abil in diag.distribution:
-                rows.append({
-                    "question": diag.question,
-                    "student": student,
-                    "score": repr(score),
-                    "ability": f"{abil:.2f}",
-                    "flags": ";".join(diag.flags),
-                })
-        else:
-            rows.append({
-                "question": diag.question,
-                "student": "",
-                "score": "",
-                "ability": "",
-                "flags": ";".join(diag.flags),
-            })
-    fields = ["question", "student", "score", "ability", "flags"]
+        # a diagnostic without a distribution is one row of flags
+        cells = [(student, repr(score), f"{abil:.2f}") for student, score, abil in diag.distribution]
+        for cell in cells or [("", "", "")]:
+            rows.append(dict(zip(fields, (diag.question, *cell, ";".join(diag.flags)))))
     try:
         if format == "csv":
             with open(path, "w", newline="", encoding="utf-8") as fh:

@@ -54,20 +54,15 @@ def loocv_fit(
     column.  Returns (fold solutions in student order, coordinate-wise mean
     solution) for a vector, and a list of k such pairs for a matrix.
 
-    For ols_closed_form and linear_intercept, when the design ([S, 1], or
-    the column-centered S) has full row rank (n, or n - 1 when centered),
-    every fold of every column comes from one SVD of the full design, in
-    one call of ``solvers.FITTERS[solver]`` with ``leave_one_out=True``
-    (made for any entry whose signature takes that keyword, so a wrapper
-    of the fitter sees the call): fold k's minimum-norm solution is the full
-    design's with target k replaced by fold k's own prediction, the exact
-    leave-one-out identity behind PRESS (Allen 1974).  In the paper's regime
-    of fewer students than questions this is the usual case.  Otherwise
-    (a tall or rank-deficient design, or one so ill-conditioned that the
-    shared solve's error estimate passes linalg.LOO_RTOL), and for the
-    other solvers, each fold of each column is fit on its own.  A fold's
-    ConvergenceError or DataError is re-raised with the fold in its message
-    and the target's column index in its ``column`` attribute.
+    An entry of ``solvers.FITTERS`` whose signature takes leave_one_out
+    (so a wrapper of the fitter sees the call) is first called once with
+    ``leave_one_out=True``.  For ols_closed_form and linear_intercept that
+    gives every fold of every column from one SVD of the design, whatever
+    its shape or rank (linalg.loo_min_norm), unless the accuracy guard
+    declines it.  Then, and for the other solvers, each fold of each column
+    is fit on its own.  A fold's ConvergenceError or DataError is re-raised
+    with the fold in its message and the target's column index in its
+    ``column`` attribute.
     """
     s = np.asarray(s, dtype=float)
     a = np.asarray(a, dtype=float)

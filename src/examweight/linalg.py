@@ -1,6 +1,7 @@
 """Dense linear algebra kernel: thin SVD, Moore-Penrose pseudoinverse,
-minimum-norm least-squares solving, and all leave-one-out minimum-norm
-solutions of a full-row-rank system from one SVD.
+minimum-norm least-squares solving, centering on a basis of the zero-sum
+vectors, and all leave-one-out minimum-norm solutions of any system from
+one SVD, unless an accuracy guard declines it.
 
 All routines are pure functions on float64 numpy arrays; the SVD is numpy's
 LAPACK routine.  Rank decisions are relative to the largest singular value.
@@ -113,35 +114,54 @@ def solve_min_norm(a, y, rank_cutoff: float | None = None) -> np.ndarray:
     return res.v @ scaled
 
 
+def center(a) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, Q^T a): Q is an orthonormal n-by-(n - 1) basis of the zero-sum
+    vectors, so Q Q^T a is a with its columns de-meaned, and Q^T a has its
+    singular values without the exactly null direction that rounding can
+    lift past a rank cutoff.  Formed as Q^T (a - a[0]), which keeps a
+    constant column exactly zero where subtracting a rounded mean may not.
+    """
+    n = len(a)
+    basis = np.linalg.qr(np.eye(n)[:, 1:] - np.eye(n)[:, :1])[0]
+    return basis, basis.T @ (a - a[0])
+
+
 # loo_min_norm's bound on the estimated relative error of a fold solution;
 # past it the folds are left to per-fold solves.  A tenth of the 1e-10 within
-# which a changed result counts as the same: over 6,600 folds of random wide
-# designs with a near-repeated row, the error was at most 3 times the estimate.
+# which a changed result counts as the same: over 74,000 accepted folds of
+# random wide, tall, rank-deficient and repeated-row designs with up to 15
+# rows, the error against the per-fold solve was at most 2.1e-12.
 LOO_RTOL = 1e-11
 
 
 def loo_min_norm(a, ys, rank_cutoff: float | None = None, centered: bool = False):
     """Every leave-one-out minimum-norm solution of ``a @ x ~= ys``, from one SVD.
 
-    Fold j drops row j of a and of ys and solves for all k columns of ys at
-    once.  With centered=True each fold first de-means its rows of a and ys
-    over the fold, as for a free intercept.  Returns an (n, p, k) array whose
-    [j] is fold j's p-by-k solution, or None when a does not have full row
-    rank (n; n - 1 when centered) under rank_cutoff, which defaults to the
-    folds' own max(n - 1, p) * machine epsilon, or when some fold's
-    estimated relative error exceeds LOO_RTOL.  None is returned before any
-    factorization when a is too tall to have that rank.
+    Fold j drops row j of a and of ys and solves for all k columns of ys.
+    With centered=True each fold de-means its rows of a and ys, as for a
+    free intercept, and a is factored as ``center`` gives it.  Singular
+    values at or below rank_cutoff times the largest are dropped; it
+    defaults to the folds' own max(rows - 1, p) * machine epsilon, rows
+    being those factored.  Returns an (n, p, k) array whose [j] is fold j's
+    solution, or None when the accuracy guard declines the design.
 
-    With P = pinv(a) and X0 = P @ ys, ``a @ P`` is the identity, so P[:, j]
-    is orthogonal to fold j's rows, and fold j's solution is X0 projected
-    off P[:, j]: ``x_j = X0 - P[:, j] r_j^T`` with
-    ``r_j = P[:, j]^T X0 / ||P[:, j]||^2``, fold j's held-out residuals.
-    Centered, a is replaced by Q^T a, Q an orthonormal basis of the
-    zero-sum vectors (so the centered a is Q Q^T a), and P by
-    pinv(Q^T a) Q^T; fold j's centered rows span the part of that row space
-    orthogonal to P[:, j] in the same way.  This is exact: by singular-value
-    interlacing every fold keeps full row rank under the same relative
-    cutoff, so a per-fold minimum-norm solve makes the same rank decision.
+    With P = pinv(a) truncated at rank r (pinv(Q^T a) Q^T when centered),
+    X0 = P @ ys and the hat matrix H (which gains 1/n in every entry when
+    centered, for the intercept), fold j's solution is ``X0 - P[:, j] c_j^T``.  When h_jj < 1, row j lies in the span of the
+    others and c_j = e_j / (1 - h_jj), e_j the full fit's residual: the
+    leave-one-out downdate behind PRESS (Allen 1974) and DFBETA (Belsley,
+    Kuh & Welsch 1980).  1 - h_jj is taken as ||(I - H)[:, j]||^2, which is
+    accurate near 0.  When h_jj = 1 to rounding, P[:, j] is orthogonal to
+    the other rows, which span the rest of the row space, and the fold's
+    solution is X0 projected off P[:, j]: c_j = P[:, j]^T X0 / ||P[:, j]||^2.
+
+    The guard declines the design when a fold's estimated relative error
+    passes LOO_RTOL (it grows as 1 / (1 - h_jj), so a leverage near 1 but
+    not at it is declined), or when a fold's own solve could decide the rank
+    otherwise: by interlacing, fold j's largest singular value is at least
+    sigma_1 * sqrt(1 - U[j, 0]^2) (n / (n - 1) * U[j, 0]^2 when centered),
+    its r-th at least sigma_r * sqrt(1 - h_jj) and its (r + 1)-th at most
+    the first dropped one.
     """
     a = as_matrix(a)
     ys = as_matrix(ys)
@@ -150,29 +170,49 @@ def loo_min_norm(a, ys, rank_cutoff: float | None = None, centered: bool = False
         raise ValueError(f"dimension mismatch: matrix has {n} rows, targets have {len(ys)}")
     if n < 2:
         raise ValueError("leave-one-out needs at least 2 rows")
-    if rank_cutoff is None:
-        rank_cutoff = default_rank_cutoff(n - 1, p)
-    if (n - 1 if centered else n) > p:
-        return None
     if centered:
-        # Q from e_i - e_0, i = 1..n-1; Q Q^T is the centering matrix.
-        # Centering first keeps a constant column exactly zero.
-        basis = np.linalg.qr(np.eye(n)[:, 1:] - np.eye(n)[:, :1])[0]
-        a = basis.T @ (a - a.mean(axis=0))
+        basis, a = center(a)
+    if rank_cutoff is None:
+        rank_cutoff = default_rank_cutoff(len(a) - 1, p)
     res = svd(a)
     sigma = res.singular_values
-    if not sigma[-1] > rank_cutoff * sigma[0]:
-        return None
-    pinv_t = (res.u / sigma) @ res.v.T  # P^T
+    r = int(np.sum(sigma > rank_cutoff * sigma[0]))
+    if r == 0:  # every fold's design is zero under the cutoff too
+        return np.zeros((n, p, ys.shape[1]))
+    dropped = sigma[r] if r < len(sigma) else 0.0
+    u, sigma = res.u[:, :r], sigma[:r]
     if centered:
-        pinv_t = basis @ pinv_t
+        u = basis @ u
+    pinv_t = (u / sigma) @ res.v[:, :r].T  # P^T
     x0 = pinv_t.T @ ys
-    r = (pinv_t @ x0) / np.sum(pinv_t * pinv_t, axis=1)[:, None]
-    x = x0[None, :, :] - pinv_t[:, :, None] * r[:, None, :]
-    # X0 carries rounding of about eps * cond * ||X0||; a fold whose
-    # solution is much smaller than X0 (its held-out row nearly repeats
-    # others) inherits it, magnified by ||X0|| / ||x_j||.
-    error = np.finfo(float).eps * (sigma[0] / sigma[-1]) * np.linalg.norm(x0, axis=0)
-    if np.any(error > LOO_RTOL * np.linalg.norm(x, axis=1)):
+    resid_map = np.eye(n) - u @ u.T - (1.0 / n if centered else 0.0)  # I - H
+    resid = resid_map @ ys
+    gap = np.sum(resid_map * resid_map, axis=0)  # 1 - h_jj
+    # an exact 0 comes out of rounding below this unless a is ill-conditioned
+    at_one = gap <= (10 * default_rank_cutoff(n, p)) ** 2
+    gap[at_one] = 1.0
+    col_sq = np.sum(pinv_t * pinv_t, axis=1)
+    proj = (pinv_t @ x0) / np.where(at_one, col_sq, 1.0)[:, None]
+    c = np.where(at_one[:, None], proj, resid / gap[:, None])
+    x = x0[None, :, :] - pinv_t[:, :, None] * c[:, None, :]
+    # The identity holds for a truncated at rank r: a perturbed by a
+    # relative delta, its first dropped singular value or rounding.  X0 then
+    # carries delta * (cond * ||X0|| + cond^2 * ||E|| / sigma_1), E the
+    # residuals, which a fold solution much smaller than X0 inherits; a
+    # downdated fold adds that of P[:, j] c_j, and that of e_j and 1 - h_jj
+    # magnified by 1 / (1 - h_jj).
+    delta = max(np.finfo(float).eps, dropped / sigma[0])
+    cond = sigma[0] / sigma[-1]
+    pnorm = np.where(at_one, 0.0, np.sqrt(col_sq))[:, None]
+    error = delta * (
+        cond * np.linalg.norm(x0, axis=0) + cond**2 * np.linalg.norm(resid, axis=0) / sigma[0]
+        + cond * pnorm * np.abs(c) + pnorm * (np.linalg.norm(ys, axis=0) + np.abs(c)) / gap[:, None]
+    )
+    top = sigma[0] * np.sqrt(np.maximum(1.0 - u[:, 0] ** 2 * (n / (n - 1) if centered else 1.0), 0.0))
+    if (
+        np.any(dropped > rank_cutoff * top)
+        or np.any(sigma[-1] * np.sqrt(gap) <= rank_cutoff * sigma[0])
+        or np.any(error > LOO_RTOL * np.linalg.norm(x, axis=1))
+    ):
         return None
     return x

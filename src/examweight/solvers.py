@@ -26,9 +26,6 @@ NNLS = "nnls"
 UNIFORM = "uniform"
 ACTUAL = "actual"
 
-FITTED_SOLVER_IDS = (OLS_CLOSED_FORM, LINEAR_INTERCEPT, HUBER, NNLS)
-BASELINE_SOLVER_IDS = (UNIFORM, ACTUAL)
-
 # Why fit_huber stopped; only STOP_GRADIENT counts as converged.
 STOP_GRADIENT = "gradient"
 STOP_STALLED = "stalled"
@@ -112,12 +109,14 @@ def fit_ols_closed_form(
 
     With leave_one_out, a holds k targets as the columns of an n-by-k matrix
     and the result is the fit of every leave-one-out fold of every column,
-    [column][fold], from one SVD of the augmented design; None when
-    linalg.loo_min_norm declines that design (not of full row rank, or an
-    estimated error past linalg.LOO_RTOL), so that each fold is fit alone.
+    [column][fold], from one SVD of the augmented design of any shape or
+    rank; None when the accuracy guard of linalg.loo_min_norm declines it,
+    so that each fold is fit alone.
     """
     if leave_one_out:
-        return _loo_ols_closed_form(s, a, cfg)
+        s = linalg.as_matrix(s)
+        x = linalg.loo_min_norm(np.hstack([s, np.ones((len(s), 1))]), a, cfg.rank_cutoff)
+        return None if x is None else _loo_solutions(x[:, :-1], x[:, -1], OLS_CLOSED_FORM)
     s, a = _check_design(s, a)
     n, m = s.shape
     aug = np.hstack([s, np.ones((n, 1))])
@@ -130,22 +129,33 @@ def fit_ols_closed_form(
 def fit_linear_intercept(
     s, a, cfg: SolverConfig = DEFAULT_CONFIG, *, leave_one_out: bool = False
 ) -> WeightSolution | list[list[WeightSolution]] | None:
-    """Centered least squares: columns and target are de-meaned before the
-    minimum-norm solve, and the intercept is recovered from the means.
+    """Centered least squares: the minimum-norm solve of the design and
+    target centered by linalg.center, with the intercept recovered from the
+    means.
 
     Training residuals have exactly zero mean; a constant column (e.g. a
-    question everyone answered) centers to zero and gets weight 0.
+    question everyone answered) centers to exactly zero and gets weight 0.
 
     With leave_one_out, as for fit_ols_closed_form, from one SVD of the
-    centered design; None when that has rank below n - 1 or an estimated
-    error past linalg.LOO_RTOL.
+    design centered the same way.
     """
     if leave_one_out:
-        return _loo_linear_intercept(s, a, cfg)
+        s, targets = linalg.as_matrix(s), linalg.as_matrix(a)
+        w = linalg.loo_min_norm(s, targets, cfg.rank_cutoff, centered=True)
+        if w is None:
+            return None
+        # row j: the means over every student but j, as fold j's own fit uses
+        col_means = (s.sum(axis=0) - s) / (len(s) - 1)
+        target_means = (targets.sum(axis=0) - targets) / (len(s) - 1)
+        intercepts = target_means - np.einsum("jm,jmk->jk", col_means, w)
+        return _loo_solutions(w, intercepts, LINEAR_INTERCEPT)
     s, a = _check_design(s, a)
-    col_means = s.mean(axis=0)
-    w = linalg.solve_min_norm(s - col_means, a - a.mean(), cfg.rank_cutoff)
-    intercept = float(a.mean() - col_means @ w)
+    if len(s) > 1:
+        basis, centered = linalg.center(s)
+        w = linalg.solve_min_norm(centered, basis.T @ (a - a[0]), cfg.rank_cutoff)
+    else:  # one student centers to an empty design
+        w = np.zeros(s.shape[1])
+    intercept = float(a.mean() - s.mean(axis=0) @ w)
     return WeightSolution(
         question_weights=w, intercept=intercept, solver_id=LINEAR_INTERCEPT
     )
@@ -165,30 +175,6 @@ def _loo_solutions(weights, intercepts, solver_id) -> list[list[WeightSolution]]
         ]
         for t in range(k)
     ]
-
-
-def _loo_ols_closed_form(s, targets, cfg):
-    s = linalg.as_matrix(s)
-    n, m = s.shape
-    aug = np.hstack([s, np.ones((n, 1))])
-    x = linalg.loo_min_norm(aug, targets, cfg.rank_cutoff)
-    if x is None:
-        return None
-    return _loo_solutions(x[:, :m], x[:, m], OLS_CLOSED_FORM)
-
-
-def _loo_linear_intercept(s, targets, cfg):
-    s = linalg.as_matrix(s)
-    w = linalg.loo_min_norm(s, targets, cfg.rank_cutoff, centered=True)
-    if w is None:
-        return None
-    n = len(s)
-    targets = np.asarray(targets, dtype=float)
-    # row j: the means over every student but j, as fold j's own fit uses
-    col_means = (s.sum(axis=0) - s) / (n - 1)
-    target_means = (targets.sum(axis=0) - targets) / (n - 1)
-    intercepts = target_means - np.einsum("jm,jmk->jk", col_means, w)
-    return _loo_solutions(w, intercepts, LINEAR_INTERCEPT)
 
 
 def _huber_objective_and_grad(theta, s, a, eps, alpha, n, m):
@@ -431,9 +417,10 @@ def predict(sol: WeightSolution, s) -> np.ndarray:
 
 # Each entry is called as fitter(s, a, cfg) for one fit.  An entry whose
 # signature takes leave_one_out is first called once per leave-one-out run
-# by experiment.loocv_fit, and per fold only when that returns None; a
-# functools.wraps wrapper reports the signature of the fitter it wraps, so
-# it must pass that keyword through.
+# by experiment.loocv_fit (the min-norm fitters answer it from one SVD of
+# any design), and per fold only when that returns None, as it does when
+# the accuracy guard declines the design; a functools.wraps wrapper reports
+# the signature of the fitter it wraps, so it must pass that keyword through.
 FITTERS = {
     OLS_CLOSED_FORM: fit_ols_closed_form,
     LINEAR_INTERCEPT: fit_linear_intercept,

@@ -123,9 +123,7 @@ def generate_gradebook(spec: SyntheticSpec) -> gb.Gradebook:
 
     components = {}
     for name in gb.COMPONENTS:
-        if name == spec.exam:
-            components[name] = exam_totals.copy()
-        elif spec.noise == 0:
+        if name == spec.exam or spec.noise == 0:
             components[name] = exam_totals.copy()
         else:
             noisy = abilities + spec.noise * rng.standard_normal(n)

@@ -137,6 +137,17 @@ class TestLoaderErrors:
         ):
             dataio.load_gradebook(fs)
 
+    def test_repeated_question_column_in_scores(self, tmp_path):
+        # two students, so a silently dropped second Q1 column would still load
+        fs = self.fileset(
+            tmp_path,
+            scores="student,Q1,Q1,Q2\nal,1,0,1\nbo,0,1,0\n",
+            questions="id,kind,max_points,parent\nQ1,mc,60,\nQ2,mc,40,\n",
+            components="student,homework,midterm,project,final\nal,50,50,50,50\nbo,60,60,60,60\n",
+        )
+        with pytest.raises(DataError, match=r"s\.csv: repeated question ids in header: \['Q1'\]"):
+            dataio.load_gradebook(fs)
+
     def test_duplicate_student_in_components(self, tmp_path):
         fs = self.fileset(
             tmp_path,

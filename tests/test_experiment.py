@@ -101,42 +101,16 @@ MIN_NORM = (solvers.OLS_CLOSED_FORM, solvers.LINEAR_INTERCEPT)
 
 
 def min_norm_design(s, solver):
-    """The matrix whose row rank decides the shared path, and that rank."""
-    n = len(s)
+    """The matrix that the shared path factors."""
     if solver == solvers.OLS_CLOSED_FORM:
-        return np.hstack([s, np.ones((n, 1))]), n
-    return s - s.mean(axis=0), n - 1
+        return np.hstack([s, np.ones((len(s), 1))])
+    return linalg.center(s)[1]
 
 
 def per_fold(s, a, solver):
     fitter = solvers.FITTERS[solver]
     return [fitter(np.delete(s, k, axis=0), np.delete(a, k), solvers.DEFAULT_CONFIG)
             for k in range(len(a))]
-
-
-def keeps_rounding_direction(s, k):
-    """Whether fit_linear_intercept on fold k keeps a singular direction of
-    the centered fold design that is exactly null: its rows sum to zero, so
-    its rank is at most rows - 1, yet rounding can lift the next singular
-    value over the relative cutoff when the fold's spread is small."""
-    fold = np.delete(s, k, axis=0)
-    sigma = np.linalg.svd(fold - fold.mean(axis=0), compute_uv=False)
-    rows = len(fold)
-    cutoff = linalg.default_rank_cutoff(*fold.shape)
-    return rows <= len(sigma) and sigma[rows - 1] > cutoff * sigma[0]
-
-
-def projected_fold(s, a, k):
-    """Fold k's linear_intercept solution with the centering done by an
-    orthonormal basis of the zero-sum vectors, which has no null direction."""
-    fold, target = np.delete(s, k, axis=0), np.delete(a, k)
-    rows = len(fold)
-    basis = np.linalg.qr(np.eye(rows)[:, 1:] - np.eye(rows)[:, :1])[0]
-    w = np.linalg.lstsq(basis.T @ fold, basis.T @ target, rcond=None)[0]
-    return solvers.WeightSolution(
-        question_weights=w, intercept=float(target.mean() - fold.mean(axis=0) @ w),
-        solver_id=solvers.LINEAR_INTERCEPT,
-    )
 
 
 @pytest.fixture
@@ -160,38 +134,41 @@ class TestSharedLoo:
         st.integers(0, 2**32 - 1),
         st.integers(2, 15),
         st.integers(0, 20),
+        st.sampled_from(["wide", "tall", "rank_deficient", "repeated_rows"]),
         st.sampled_from([None, 1e-1, 1e-3, 1e-6]),
         st.integers(1, 4),
     )
     @settings(max_examples=60, deadline=None)
-    def test_matches_per_fold_loop(self, seed, n, extra, near_duplicate, k):
+    def test_matches_per_fold_loop(self, seed, n, extra, shape, near_duplicate, k):
         rng = np.random.default_rng(seed)
-        s = rng.random((n, n - 1 + extra))
-        m = s.shape[1]
+        m = max(1, n - 1 - extra) if shape == "tall" else n - 1 + extra
+        s = rng.random((n, m))
         if m >= 3:
             s[:, 0] = 0.0  # nobody answered
             s[:, 1] = 1.0  # everybody answered
             s[:, 2] = s[:, -1]  # duplicate question
+        if shape == "rank_deficient" and min(n, m) >= 2:
+            rank = int(rng.integers(1, min(n, m)))
+            s = rng.random((n, rank)) @ rng.random((rank, m)) / rank
+        if shape == "repeated_rows" and n >= 3:
+            for _ in range(int(rng.integers(1, n))):
+                i, j = rng.choice(n, 2, replace=False)
+                s[i] = s[j]
         if near_duplicate is not None:
             s[-1] = s[0] + near_duplicate * rng.standard_normal(m)
         targets = 100.0 * rng.random((n, k))
         for solver in MIN_NORM:
-            design, rank = min_norm_design(s, solver)
+            design = min_norm_design(s, solver)
             sigma = np.linalg.svd(design, compute_uv=False)
+            cutoff = linalg.default_rank_cutoff(len(design) - 1, design.shape[1])
+            rank = int(np.sum(sigma > cutoff * sigma[0]))
             shared = solvers.FITTERS[solver](s, targets, leave_one_out=True)
-            cutoff = linalg.default_rank_cutoff(n - 1, design.shape[1])
-            if not sigma[rank - 1] > cutoff * sigma[0]:
-                assert shared is None
-                continue
-            cond = sigma[0] / sigma[rank - 1]
             if shared is None:
-                continue  # declined by its error estimate; fallback tested below
+                continue  # declined by the accuracy guard; fallback tested below
+            cond = sigma[0] / sigma[rank - 1] if rank else 1.0
             tol = 1e-10 if cond <= 1e4 else 100 * cond * np.finfo(float).eps
             for t in range(k):
-                for j, (got, want) in enumerate(zip(shared[t], per_fold(s, targets[:, t], solver))):
-                    if solver == solvers.LINEAR_INTERCEPT and keeps_rounding_direction(s, j):
-                        # the per-fold fit is wrong here; see keeps_rounding_direction
-                        want = projected_fold(s, targets[:, t], j)
+                for got, want in zip(shared[t], per_fold(s, targets[:, t], solver)):
                     x_got = np.append(got.question_weights, got.intercept)
                     x_want = np.append(want.question_weights, want.intercept)
                     err = np.linalg.norm(x_got - x_want) / np.linalg.norm(x_want)
@@ -217,18 +194,25 @@ class TestSharedLoo:
     @pytest.mark.parametrize("solver", MIN_NORM)
     @pytest.mark.parametrize("design", ["tall", "repeated_rows"])
     def test_fallback_gives_per_fold_results(self, solver, design, svd_calls):
+        # tall and repeated-row designs share one SVD unless the accuracy
+        # guard declines them, as it does these two
         rng = np.random.default_rng(11)
         if design == "tall":
-            s, shared_svds = rng.random((12, 4)), 0
+            # a student alone in (nearly) answering question 3: leverage
+            # within about 1e-14 of 1, and fold 0 keeps that question
+            s = rng.random((12, 4))
+            s[:, 3] = 1e-7 * rng.random(12)
+            s[0, 3] = 1.0
         else:
-            s, shared_svds = rng.random((6, 20)), 1
-            s[3] = s[1]
+            # a student who repeats another to within 1e-7
+            s = rng.random((6, 20))
+            s[3] = s[1] + 1e-7 * rng.standard_normal(20)
         n = len(s)
         targets = 100.0 * rng.random((n, 2))
         assert solvers.FITTERS[solver](s, targets, leave_one_out=True) is None
         del svd_calls[:]
         fits = experiment.loocv_fit(s, targets, solver)
-        assert len(svd_calls) == shared_svds + 2 * n
+        assert len(svd_calls) == 1 + 2 * n
         for t, (folds, avg) in enumerate(fits):
             expect = per_fold(s, targets[:, t], solver)
             for got, want in zip(folds, expect):
@@ -282,18 +266,21 @@ class TestSharedLoo:
         np.testing.assert_array_equal(avg.question_weights, avg2.question_weights)
 
     def test_evaluate_factors_each_min_norm_design_once(self, svd_calls):
-        book = synthetic.generate_gradebook(
-            synthetic.SyntheticSpec(seed=3, students=12, noise=4.0)
-        )
-        n, m = book.exams["final"].shape
-        assert n < m
-        rep = experiment.evaluate(
-            book, "final", exclusions=(gb.INCLUDE_EXAM, gb.EXCLUDE_EXAM),
-            approaches=MIN_NORM,
-        )
-        assert len(rep.records) == 8  # 2 approaches x 4 targets
-        # the centered design is factored on a basis of the zero-sum vectors
-        assert svd_calls == [(n, m + 1), (n - 1, m)]
+        # a wide cohort and a tall one
+        for students in (12, 60):
+            book = synthetic.generate_gradebook(
+                synthetic.SyntheticSpec(seed=3, students=students, noise=4.0)
+            )
+            n, m = book.exams["final"].shape
+            del svd_calls[:]
+            rep = experiment.evaluate(
+                book, "final", exclusions=(gb.INCLUDE_EXAM, gb.EXCLUDE_EXAM),
+                approaches=MIN_NORM,
+            )
+            assert len(rep.records) == 8  # 2 approaches x 4 targets
+            # the centered design is factored on a basis of the zero-sum vectors
+            assert svd_calls == [(n, m + 1), (n - 1, m)]
+        assert n > m
 
 
 class TestEvaluate:

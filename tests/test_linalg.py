@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from examweight import linalg
 from examweight.errors import ConvergenceError
@@ -70,21 +72,57 @@ class TestSvd:
             linalg.svd(np.zeros((0, 3)))
 
 
+@pytest.fixture
+def calls(monkeypatch):
+    seen = []
+    original = linalg.svd
+
+    def counting(a):
+        seen.append(np.shape(a))
+        return original(a)
+
+    monkeypatch.setattr(linalg, "svd", counting)
+    return seen
+
+
+def fold_solution(a, y, j, centered):
+    """Fold j's minimum-norm solution by a solve of its own; centered on a
+    basis of the zero-sum vectors taken from an SVD of the all-ones row."""
+    fa, fy = np.delete(a, j, axis=0), np.delete(y, j)
+    if centered:
+        if len(fa) == 1:
+            return np.zeros(a.shape[1])
+        basis = np.linalg.svd(np.ones((1, len(fa))))[2][1:].T
+        fa, fy = basis.T @ fa, basis.T @ fy
+    return linalg.solve_min_norm(fa, fy)
+
+
+def assert_matches_folds(x, a, ys, centered, rtol=1e-10):
+    for j in range(len(a)):
+        for t in range(ys.shape[1]):
+            want = fold_solution(a, ys[:, t], j, centered)
+            np.testing.assert_allclose(x[j, :, t], want, rtol=rtol, atol=rtol * np.abs(want).max())
+
+
+def exact_least_squares(a, y):
+    """Least-squares solution of a full-column-rank system in exact rational
+    arithmetic on the normal equations, rounded once at the end."""
+    m = a.shape[1]
+    rows = [[Fraction(v) for v in row] for row in a]
+    rhs = [Fraction(v) for v in y]
+    g = [[sum(r[i] * r[k] for r in rows) for k in range(m)]
+         + [sum(r[i] * b for r, b in zip(rows, rhs))] for i in range(m)]
+    for i in range(m):
+        for r in range(m):
+            if r != i:
+                f = g[r][i] / g[i][i]
+                g[r] = [u - f * v for u, v in zip(g[r], g[i])]
+    return np.array([float(g[i][m] / g[i][i]) for i in range(m)])
+
+
 class TestSvdCallers:
     """pinv and solve_min_norm factor through the module-level svd, so a
     wrapper installed on ``linalg.svd`` sees every factorization."""
-
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        seen = []
-        original = linalg.svd
-
-        def counting(a):
-            seen.append(np.shape(a))
-            return original(a)
-
-        monkeypatch.setattr(linalg, "svd", counting)
-        return seen
 
     def test_pinv_calls_svd_once(self, calls):
         linalg.pinv(np.ones((3, 5)))
@@ -98,10 +136,13 @@ class TestSvdCallers:
         linalg.loo_min_norm(np.eye(3, 5), np.ones((3, 2)))
         assert calls == [(3, 5)]
 
-    def test_loo_min_norm_skips_svd_when_too_tall(self, calls):
-        assert linalg.loo_min_norm(np.ones((4, 2)), np.ones((4, 1))) is None
-        assert linalg.loo_min_norm(np.ones((4, 2)), np.ones((4, 1)), centered=True) is None
-        assert calls == []
+    @pytest.mark.parametrize("centered", [False, True])
+    def test_loo_min_norm_calls_svd_once_when_tall(self, calls, centered):
+        rng = np.random.default_rng(8)
+        a, ys = rng.random((9, 3)), rng.random((9, 2))
+        x = linalg.loo_min_norm(a, ys, centered=centered)
+        assert calls == [(8, 3) if centered else (9, 3)]
+        assert_matches_folds(x, a, ys, centered)
 
 
 class TestPinv:
@@ -200,39 +241,93 @@ class TestLooMinNorm:
         x = linalg.loo_min_norm(np.eye(2), [[1.0], [2.0]])
         np.testing.assert_allclose(x[:, :, 0], [[0.0, 2.0], [1.0, 0.0]], atol=1e-15)
 
-    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(-4, 4), st.booleans())
     @settings(max_examples=30, deadline=None)
-    def test_matches_per_fold_solve(self, seed, centered):
+    def test_matches_per_fold_solve(self, seed, centered, extra, deficient):
+        # wide (extra >= 0) and tall designs, of full rank or not
         rng = np.random.default_rng(seed)
         n = int(rng.integers(3, 8))
-        a = rng.standard_normal((n, n + int(rng.integers(0, 5))))
+        a = rng.standard_normal((n, max(1, n + extra)))
+        if deficient:
+            a[:, -1] = a[:, 0]  # a repeated column
         ys = rng.standard_normal((n, 3))
         x = linalg.loo_min_norm(a, ys, centered=centered)
-        for j in range(n):
-            keep = np.arange(n) != j
-            fa, fy = a[keep], ys[keep]
-            if centered:
-                fa, fy = fa - fa.mean(axis=0), fy - fy.mean(axis=0)
-            for t in range(3):
-                np.testing.assert_allclose(
-                    x[j, :, t], linalg.solve_min_norm(fa, fy[:, t]), rtol=1e-10, atol=1e-10
-                )
+        assume(x is not None)  # declined by the guard; tested below
+        assert_matches_folds(x, a, ys, centered)
 
-    def test_repeated_row_is_not_full_rank(self):
-        a = np.array([[1.0, 2.0, 3.0], [0.0, 1.0, 0.0], [1.0, 2.0, 3.0]])
-        ys = np.array([[1.0], [2.0], [4.0]])
+    @pytest.mark.parametrize("centered", [False, True])
+    def test_repeated_rows_match_per_fold_solves(self, calls, centered):
+        # rank 3 of 4 rows (2 of 3 once centered): the repeated rows have
+        # leverage 1/2 and are downdated, the others are projected off
+        a = np.array([[1.0, 2.0, 3.0], [0.0, 1.0, 0.0], [1.0, 2.0, 3.0], [2.0, 0.0, 1.0]])
+        ys = np.array([[1.0], [2.0], [4.0], [3.0]])
+        x = linalg.loo_min_norm(a, ys, centered=centered)
+        assert len(calls) == 1
+        assert_matches_folds(x, a, ys, centered)
+
+    def test_near_unit_leverage_is_declined(self):
+        # only row 0 has the third column, up to 1e-7 elsewhere: its leverage
+        # is 1 - O(1e-14), and fold 0 keeps that direction with tiny spread
+        rng = np.random.default_rng(2)
+        a = rng.random((8, 3))
+        a[:, 2] = 1e-7 * rng.random(8)
+        a[0, 2] = 1.0
+        ys = rng.random((8, 1))
+        assert np.linalg.norm(fold_solution(a, ys[:, 0], 0, False)) > 1e5
         assert linalg.loo_min_norm(a, ys) is None
         assert linalg.loo_min_norm(a, ys, centered=True) is None
-        # three distinct rows: rank 3, and rank 2 = n - 1 once centered
-        a[2, 0] = 2.0
-        assert linalg.loo_min_norm(a, ys) is not None
-        assert linalg.loo_min_norm(a, ys, centered=True) is not None
+
+    def test_zero_design_gives_zero_folds(self):
+        # identical rows center to exactly zero
+        a = np.tile([0.1, 0.2, 0.7], (3, 1))
+        x = linalg.loo_min_norm(a, np.array([[1.0], [2.0], [6.0]]), centered=True)
+        np.testing.assert_array_equal(x, 0.0)
 
     def test_cutoff_decides_rank(self):
         a = np.array([[1.0, 0.0, 0.0], [0.0, 1e-3, 0.0]])
         ys = np.array([[1.0], [1e-3]])
         assert linalg.loo_min_norm(a, ys) is not None
         assert linalg.loo_min_norm(a, ys, rank_cutoff=1e-2) is None
+
+    def test_rank_a_fold_would_cut_is_declined(self):
+        # both singular values clear the cutoff 0.1, but without row 1 the
+        # second is 0.05 of the first, which a per-fold solve drops
+        a = np.array([[1.0, 0.0], [0.0, 0.2], [0.0, 0.05]])
+        ys = np.array([[1.0], [2.0], [3.0]])
+        assert linalg.loo_min_norm(a, ys) is not None
+        assert linalg.loo_min_norm(a, ys, rank_cutoff=0.1) is None
+
+    def test_rank_a_fold_would_keep_is_declined(self):
+        # the third singular value, 3e-13, is under the cutoff relative to
+        # the first, 1e3, but without row 0 it is 1.5e-13 of the largest,
+        # which a per-fold solve keeps
+        a = np.array([[1e3, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0 + 6e-13]])
+        ys = np.array([[1.0], [2.0], [3.0]])
+        assert np.linalg.norm(fold_solution(a, ys[:, 0], 0, False)) > 1e12
+        assert linalg.loo_min_norm(a, ys) is None
+
+    def test_cutoff_that_drops_a_material_direction_is_declined(self):
+        # the cutoff drops a singular value 1e-3 of the largest; the folds
+        # drop theirs too, but each fold's leading direction turns, so the
+        # shared solution would miss the per-fold one by 5e-4
+        a = np.array([[1.0, 1e-3], [1.0, -1e-3], [1.0, 2e-3], [1.0, 0.0]])
+        ys = np.array([[1.0], [2.0], [3.0], [5.0]])
+        assert linalg.loo_min_norm(a, ys) is not None
+        assert linalg.loo_min_norm(a, ys, rank_cutoff=1e-2) is None
+
+    def test_residual_error_is_estimated(self):
+        # near-collinear columns and targets far from the column space: the
+        # residual's rounding, which grows as cond^2, carried a fold to 1.2e-10
+        # from its exact solution when the estimate left it out
+        rng = np.random.default_rng(133)
+        t = rng.random(6)
+        a = np.column_stack([t, t + 4e-5 * rng.standard_normal(6)])
+        ys = 100 * rng.random((6, 1))
+        x = linalg.loo_min_norm(a, ys)
+        if x is not None:
+            for j in range(6):
+                want = exact_least_squares(np.delete(a, j, axis=0), np.delete(ys[:, 0], j))
+                assert np.linalg.norm(x[j, :, 0] - want) <= linalg.LOO_RTOL * np.linalg.norm(want)
 
     def test_inaccurate_folds_are_declined(self):
         # full row rank, but fold 1's solution (1, 0, 0) would come out of

@@ -72,6 +72,26 @@ class TestLinearIntercept:
         oracle = np.linalg.pinv(s - s.mean(0)) @ (a - a.mean())
         np.testing.assert_allclose(sol.question_weights, oracle, atol=1e-9)
 
+    def test_two_students_keep_no_rounding_direction(self):
+        # the centered two-row design has rank 1; de-meaning it directly
+        # left a second singular value of rounding above the cutoff here,
+        # and its direction moved the weights by 2.2e-2 relative
+        rng = np.random.default_rng(145)
+        s = rng.random((2, 5))
+        a = 100 * rng.random(2)
+        d = s[1] - s[0]
+        expect = d * (a[1] - a[0]) / (d @ d)
+        sol = solvers.fit_linear_intercept(s, a)
+        assert np.linalg.norm(sol.question_weights - expect) <= 1e-12 * np.linalg.norm(expect)
+
+    def test_identical_students_give_zero_weights(self):
+        # a rounded column mean can leave a constant column nonzero, and a
+        # relative cutoff then keeps that rounding as the whole design
+        s = np.tile([0.1, 0.2, 0.7], (3, 1))  # each mean of three rounds off
+        sol = solvers.fit_linear_intercept(s, [10.0, 20.0, 60.0])
+        np.testing.assert_array_equal(sol.question_weights, 0.0)
+        assert sol.intercept == pytest.approx(30.0)
+
     @given(st.integers(0, 300))
     @settings(max_examples=30, deadline=None)
     def test_residuals_sum_to_zero(self, seed):
