@@ -6,7 +6,7 @@ uniform and as-administered baselines, and provides question diagnostics.
 """
 
 from .errors import ConvergenceError, DataError
-from .gradebook import AbilityVector, Gradebook, Question, ability, normalize_ability, overall_score
+from .gradebook import Gradebook, Question, ability, normalize_ability, overall_score
 from .solvers import (
     SolverConfig,
     WeightSolution,

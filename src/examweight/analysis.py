@@ -50,7 +50,7 @@ def distribution_table(
     g: gb.Gradebook,
     exam: str,
     question: str,
-    ability: gb.AbilityVector,
+    ability: np.ndarray,
 ) -> QuestionDiagnostic:
     """Per-student (score, ability) rows for one question, weakest student
     first.  Scores keep full stored precision; rounding of abilities happens
@@ -59,9 +59,9 @@ def distribution_table(
     if question not in ids:
         raise DataError(f"unknown question {question!r} in exam {exam!r}")
     col = g.exams[exam][:, ids.index(question)]
-    order = np.argsort(ability.values, kind="stable")
+    order = np.argsort(ability, kind="stable")
     rows = tuple(
-        (g.students[i], float(col[i]), float(ability.values[i])) for i in order
+        (g.students[i], float(col[i]), float(ability[i])) for i in order
     )
     return QuestionDiagnostic(
         question=question, flags=_column_flags(col), distribution=rows
@@ -87,7 +87,7 @@ def degenerate_questions(g: gb.Gradebook, exam: str) -> list[QuestionDiagnostic]
     """
     ids = g.question_ids(exam)
     s = g.exams[exam]
-    abil = gb.ability(g, exam, gb.ACTUAL_SCALE, gb.INCLUDE_EXAM).values
+    abil = gb.ability(g, exam, gb.ACTUAL_SCALE, gb.INCLUDE_EXAM)
     ranked = np.argsort(-abil, kind="stable")  # strongest first
 
     first_seen: dict[bytes, str] = {}

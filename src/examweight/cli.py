@@ -8,10 +8,8 @@ EXAMWEIGHT_STRICT=1), 64 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
-from contextlib import nullcontext
 from pathlib import Path
 
 from . import analysis, dataio, experiment
@@ -148,13 +146,6 @@ def _scales(flag: str) -> tuple[str, ...]:
     return ("actual", "normalized") if flag == "both" else (flag,)
 
 
-def _print_csv(header, rows, out: str | None) -> None:
-    with open(out, "w", newline="", encoding="utf-8") if out else nullcontext(sys.stdout) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 _STOP_MESSAGES = {
     solvers.STOP_ITERATION_CAP: "hit the iteration cap",
     solvers.STOP_STALLED: "stalled (the line search found no further decrease)",
@@ -187,8 +178,7 @@ def _cmd_fit(args) -> int:
         book, args.exam, cfg, _scales(args.scale), (exclusion,), approaches
     )
     _warn_unconverged(report, _is_strict(args))
-    rows = dataio.weight_rows(report)
-    _print_csv(["exam", "solver", "scale", "question", "weight"], rows, args.out)
+    dataio.write_csv(dataio.WEIGHT_HEADER, dataio.weight_rows(report), args.out)
     return EXIT_OK
 
 
@@ -207,15 +197,14 @@ def _cmd_evaluate(args) -> int:
             for qid, delta in d.weight_deltas:
                 rows.append([d.approach, d.scale, f"{d.mae_include:.4f}",
                              f"{d.mae_exclude:.4f}", qid, repr(delta)])
-        _print_csv(header, rows, args.out)
+        dataio.write_csv(header, rows, args.out)
         return EXIT_OK
     report = experiment.evaluate(book, args.exam, cfg, _scales(args.scale))
     _warn_unconverged(report, strict)
     if args.out:
         dataio.write_report(report, args.out, args.format)
     else:
-        header, rows = dataio.mae_table(report)
-        _print_csv(header, rows, None)
+        dataio.write_csv(*dataio.mae_table(report))
     return EXIT_OK
 
 
@@ -226,12 +215,12 @@ def _cmd_analyze(args) -> int:
         abil = gb.ability(book, args.exam, args.scale, gb.INCLUDE_EXAM)
         diag = analysis.distribution_table(book, args.exam, args.question, abil)
         rows = [[s, repr(score), f"{a:.2f}"] for s, score, a in diag.distribution]
-        _print_csv(["student", "score", "ability"], rows, args.out)
+        dataio.write_csv(["student", "score", "ability"], rows, args.out)
         return EXIT_OK
     if args.degenerate:
         diags = analysis.degenerate_questions(book, args.exam)
         rows = [[d.question, ";".join(d.flags)] for d in diags]
-        _print_csv(["question", "flags"], rows, args.out)
+        dataio.write_csv(["question", "flags"], rows, args.out)
         return EXIT_OK
     solver = SOLVER_ALIASES[args.solver]
     report = experiment.evaluate(
@@ -242,7 +231,7 @@ def _cmd_analyze(args) -> int:
     top, bottom = analysis.extreme_questions(report, solver, args.extremes, args.scale)
     rows = [["top", i + 1, q, repr(w)] for i, (q, w) in enumerate(top)]
     rows += [["bottom", i + 1, q, repr(w)] for i, (q, w) in enumerate(bottom)]
-    _print_csv(["position", "rank", "question", "weight"], rows, args.out)
+    dataio.write_csv(["position", "rank", "question", "weight"], rows, args.out)
     return EXIT_OK
 
 

@@ -10,6 +10,11 @@ and a header row:
 * components file: ``student,homework,midterm,project,final`` on a 0-100
   scale.
 
+Every CSV file or table examweight writes goes through ``write_csv`` (the
+csv module's default dialect: comma-separated, CRLF line ends), to a file or
+to stdout; every JSON report goes through one JSON writer.  A file that
+cannot be read, decoded as UTF-8 or written raises DataError naming it.
+
 Report serialization: MAE tables use 4 decimal places, weight dumps keep full
 precision (repr round-trip), field ordering is deterministic.
 """
@@ -18,6 +23,8 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,6 +43,7 @@ KIND_CODES = {
 KIND_NAMES = {v: k for k, v in KIND_CODES.items()}
 
 COMPONENT_HEADERS = ["student"] + list(gb.COMPONENTS)
+WEIGHT_HEADER = ["exam", "solver", "scale", "question", "weight"]
 
 
 @dataclass(frozen=True)
@@ -52,25 +60,37 @@ def _read_rows(path: Path) -> list[list[str]]:
         # utf-8-sig drops the byte-order mark of spreadsheet "CSV UTF-8" exports
         with open(path, newline="", encoding="utf-8-sig") as fh:
             return list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
+@contextmanager
+def _writing(path: Path | str | None, newline: str | None = None):
+    """A text stream open for writing to path, or stdout when path is None; a
+    failed open or write raises DataError naming the path."""
+    if path is None:
+        yield sys.stdout
+        return
+    try:
+        with open(path, "w", newline=newline, encoding="utf-8") as fh:
+            yield fh
     except OSError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+def write_csv(header, rows, path: Path | str | None = None) -> None:
+    """Write a header row and then rows as CSV to path, or to stdout when path
+    is None."""
+    with _writing(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
 
 
-def _add_student(students: dict[str, int], student: str, path: Path, row: int) -> None:
-    """Record the row a student is on; a second row for them is an error."""
-    if student in students:
-        raise DataError(
-            f"{path}: row {row}: duplicate student {student!r} "
-            f"(first on row {students[student]})"
-        )
-    students[student] = row
+def _write_json(payload, path: Path) -> None:
+    with _writing(path) as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
 
 
 def _parse_float(cell: str, path: Path, row: int, col: str) -> float:
@@ -80,6 +100,42 @@ def _parse_float(cell: str, path: Path, row: int, col: str) -> float:
         raise DataError(
             f"{path}: row {row}, column {col!r}: not a number: {cell!r}"
         ) from None
+
+
+def _student_table(
+    path: Path, rows: list[list[str]], columns, lo: int, hi: int, what: str
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """The students and their students x columns matrix from a table whose
+    header, checked by the caller, is ``student`` then ``columns``.
+
+    Each student has one row, and every cell is a number in [lo, hi]; ``what``
+    names such a number in the range error.
+    """
+    body = rows[1:]
+    if not body:
+        raise DataError(f"{path}: no students")
+    students: dict[str, int] = {}
+    matrix = np.zeros((len(body), len(columns)))
+    for r, row in enumerate(body, start=2):
+        if len(row) != len(columns) + 1:
+            raise DataError(
+                f"{path}: row {r}: expected {len(columns) + 1} fields, got {len(row)}"
+            )
+        student = row[0]
+        if student in students:
+            raise DataError(
+                f"{path}: row {r}: duplicate student {student!r} "
+                f"(first on row {students[student]})"
+            )
+        students[student] = r
+        for c, (col, cell) in enumerate(zip(columns, row[1:])):
+            val = _parse_float(cell, path, r, col)
+            if not lo <= val <= hi:
+                raise DataError(
+                    f"{path}: row {r}, column {col!r}: {what} {val} outside [{lo}, {hi}]"
+                )
+            matrix[r - 2, c] = val
+    return tuple(students), matrix
 
 
 def _load_questions(path: Path) -> tuple[gb.Question, ...]:
@@ -121,28 +177,10 @@ def _load_scores(path: Path, question_ids: tuple[str, ...]) -> tuple[tuple[str, 
     missing = [q for q in question_ids if q not in header_ids]
     if missing:
         raise DataError(f"{path}: score columns missing for questions: {missing}")
-    body = rows[1:]
-    if not body:
-        raise DataError(f"{path}: no students")
-    students = {}
-    matrix = np.zeros((len(body), len(header_ids)))
-    for r, row in enumerate(body, start=2):
-        if len(row) != len(rows[0]):
-            raise DataError(
-                f"{path}: row {r}: expected {len(rows[0])} fields, got {len(row)}"
-            )
-        _add_student(students, row[0], path, r)
-        for c, (qid, cell) in enumerate(zip(header_ids, row[1:])):
-            val = _parse_float(cell, path, r, qid)
-            if not 0.0 <= val <= 1.0:
-                raise DataError(
-                    f"{path}: row {r}, column {qid!r}: fractional score "
-                    f"{val} outside [0, 1]"
-                )
-            matrix[r - 2, c] = val
+    students, matrix = _student_table(path, rows, header_ids, 0, 1, "fractional score")
     # reorder columns to the questions-file order
     perm = [header_ids.index(q) for q in question_ids]
-    return tuple(students), matrix[:, perm]
+    return students, matrix[:, perm]
 
 
 def _load_components(path: Path) -> tuple[tuple[str, ...], dict[str, np.ndarray]]:
@@ -151,27 +189,8 @@ def _load_components(path: Path) -> tuple[tuple[str, ...], dict[str, np.ndarray]
         raise DataError(
             f"{path}: expected header {','.join(COMPONENT_HEADERS)!r}"
         )
-    body = rows[1:]
-    if not body:
-        raise DataError(f"{path}: no students")
-    students = {}
-    values = {name: [] for name in gb.COMPONENTS}
-    for r, row in enumerate(body, start=2):
-        if len(row) != len(COMPONENT_HEADERS):
-            raise DataError(
-                f"{path}: row {r}: expected {len(COMPONENT_HEADERS)} fields, "
-                f"got {len(row)}"
-            )
-        _add_student(students, row[0], path, r)
-        for name, cell in zip(gb.COMPONENTS, row[1:]):
-            val = _parse_float(cell, path, r, name)
-            if not 0.0 <= val <= 100.0:
-                raise DataError(
-                    f"{path}: row {r}, column {name!r}: component score "
-                    f"{val} outside [0, 100]"
-                )
-            values[name].append(val)
-    return tuple(students), {k: np.array(v) for k, v in values.items()}
+    students, matrix = _student_table(path, rows, gb.COMPONENTS, 0, 100, "component score")
+    return students, dict(zip(gb.COMPONENTS, matrix.T.copy()))
 
 
 def load_gradebook(fileset: GradebookFileSet, check_consistency: bool = True) -> gb.Gradebook:
@@ -208,27 +227,30 @@ def write_gradebook_files(book: gb.Gradebook, out_dir: Path | str) -> GradebookF
     """Write a Gradebook as the three-file CSV set (full float precision, so a
     reload reproduces the in-memory values exactly)."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"{out_dir}: {exc}") from exc
     scores_paths = {}
     questions_paths = {}
     for exam in sorted(book.exams):
         spath = out_dir / f"{exam}_scores.csv"
         qpath = out_dir / f"{exam}_questions.csv"
-        _write_csv(spath, ["student", *book.question_ids(exam)], (
+        write_csv(["student", *book.question_ids(exam)], (
             [student, *(repr(float(v)) for v in book.exams[exam][i])]
             for i, student in enumerate(book.students)
-        ))
-        _write_csv(qpath, ["id", "kind", "max_points", "parent"], (
+        ), spath)
+        write_csv(["id", "kind", "max_points", "parent"], (
             [q.id, KIND_NAMES[q.kind], repr(float(q.max_points)), q.parent or ""]
             for q in book.questions[exam]
-        ))
+        ), qpath)
         scores_paths[exam] = spath
         questions_paths[exam] = qpath
     cpath = out_dir / "components.csv"
-    _write_csv(cpath, COMPONENT_HEADERS, (
+    write_csv(COMPONENT_HEADERS, (
         [student, *(repr(float(book.components[name][i])) for name in gb.COMPONENTS)]
         for i, student in enumerate(book.students)
-    ))
+    ), cpath)
     return GradebookFileSet(scores=scores_paths, questions=questions_paths, components=cpath)
 
 
@@ -280,26 +302,17 @@ def write_report(report: EvaluationReport, path: Path | str, format: str = "csv"
     path = Path(path)
     header, rows = mae_table(report)
     wrows = weight_rows(report)
-    try:
-        if format == "csv":
-            wpath = path.with_name(path.stem + "_weights.csv")
-            _write_csv(path, header, rows)
-            _write_csv(wpath, ["exam", "solver", "scale", "question", "weight"], wrows)
-            return [path, wpath]
-        if format == "json":
-            payload = {
-                "mae": [dict(zip(header, row)) for row in rows],
-                "weights": [
-                    dict(zip(["exam", "solver", "scale", "question", "weight"], row))
-                    for row in wrows
-                ],
-            }
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2)
-                fh.write("\n")
-            return [path]
-    except OSError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+    if format == "csv":
+        wpath = path.with_name(path.stem + "_weights.csv")
+        write_csv(header, rows, path)
+        write_csv(WEIGHT_HEADER, wrows, wpath)
+        return [path, wpath]
+    if format == "json":
+        _write_json({
+            "mae": [dict(zip(header, row)) for row in rows],
+            "weights": [dict(zip(WEIGHT_HEADER, row)) for row in wrows],
+        }, path)
+        return [path]
     raise ValueError(f"unknown format {format!r}")
 
 
@@ -315,19 +328,11 @@ def write_diagnostics(
         # a diagnostic without a distribution is one row of flags
         cells = [(student, repr(score), f"{abil:.2f}") for student, score, abil in diag.distribution]
         for cell in cells or [("", "", "")]:
-            rows.append(dict(zip(fields, (diag.question, *cell, ";".join(diag.flags)))))
-    try:
-        if format == "csv":
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.DictWriter(fh, fieldnames=fields)
-                writer.writeheader()
-                writer.writerows(rows)
-            return [path]
-        if format == "json":
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(rows, fh, indent=2)
-                fh.write("\n")
-            return [path]
-    except OSError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+            rows.append([diag.question, *cell, ";".join(diag.flags)])
+    if format == "csv":
+        write_csv(fields, rows, path)
+        return [path]
+    if format == "json":
+        _write_json([dict(zip(fields, row)) for row in rows], path)
+        return [path]
     raise ValueError(f"unknown format {format!r}")

@@ -164,7 +164,7 @@ def evaluate(
     points = g.question_points(exam)
     cells = [(scale, exclusion) for exclusion in exclusions for scale in scales]
     targets = np.column_stack(
-        [gb.ability(g, exam, scale, exclusion).values for scale, exclusion in cells]
+        [gb.ability(g, exam, scale, exclusion) for scale, exclusion in cells]
     )
     records = [[] for _ in cells]
     for approach in approaches:

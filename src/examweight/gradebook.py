@@ -129,16 +129,6 @@ class Gradebook:
                 )
 
 
-@dataclass(frozen=True)
-class AbilityVector:
-    """Per-student ability targets under a scale/exclusion mode."""
-
-    values: np.ndarray
-    mode: str  # actual | normalized
-    exclusion: str  # include_exam | exclude_exam
-    exam: str
-
-
 def overall_score(g: Gradebook, exclusion: str = INCLUDE_EXAM, exam: str | None = None) -> np.ndarray:
     """Equal-weight mean of the course components.
 
@@ -173,9 +163,10 @@ def ability(
     exam: str,
     mode: str = ACTUAL_SCALE,
     exclusion: str = INCLUDE_EXAM,
-) -> AbilityVector:
-    """Ability targets for one exam: the overall score, optionally normalized
-    by the ratio of the exam's actual-weight mean to the overall mean."""
+) -> np.ndarray:
+    """Per-student ability targets for one exam: the overall score, optionally
+    normalized by the ratio of the exam's actual-weight mean to the overall
+    mean."""
     if exam not in g.exams:
         raise DataError(f"unknown exam {exam!r}")
     if mode not in (ACTUAL_SCALE, NORMALIZED_SCALE):
@@ -183,7 +174,5 @@ def ability(
     overall = overall_score(g, exclusion, exam)
     if mode == NORMALIZED_SCALE:
         exam_mean = float(np.mean(g.actual_exam_totals(exam)))
-        values = normalize_ability(overall, exam_mean, float(overall.mean()))
-    else:
-        values = overall
-    return AbilityVector(values=values, mode=mode, exclusion=exclusion, exam=exam)
+        return normalize_ability(overall, exam_mean, float(overall.mean()))
+    return overall

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,6 +184,35 @@ class TestExitCodes:
         )
         assert code == 1
         assert "error:" in err
+
+    @pytest.mark.parametrize("argv, where", [
+        (["fit"], "missing/w.csv"),
+        (["analyze", "--degenerate"], "file/d.csv"),
+        (["evaluate", "--compare-exclusion"], "missing/c.csv"),
+        (["evaluate"], "file/e.csv"),
+        (["evaluate", "--format", "json"], "missing/e.json"),
+    ], ids=["fit", "analyze", "compare-exclusion", "evaluate", "evaluate-json"])
+    def test_unwritable_out_is_1(self, files, tmp_path, capsys, argv, where):
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        out = tmp_path / where
+        code, _, err = run_cli([*argv, *gradebook_args(files), "--out", str(out)], capsys)
+        assert code == 1
+        assert err.startswith(f"error: {out}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_unwritable_out_dir_is_1(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        out_dir = tmp_path / "file" / "cohort"
+        code, _, err = run_cli(GEN_ARGS + ["--out-dir", str(out_dir)], capsys)
+        assert code == 1
+        assert err.startswith(f"error: {out_dir}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_undecodable_input_is_1(self, files, capsys):
+        Path(files["--components"]).write_bytes(b"student,homework\n\xff\n")
+        code, _, err = run_cli(["evaluate", *gradebook_args(files)], capsys)
+        assert code == 1
+        assert err.startswith(f"error: {files['--components']}: 'utf-8' codec can't decode")
 
     def test_strict_evaluate_on_seed7_cohort_is_0(self, files, capsys):
         code, _, err = run_cli(

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,10 @@ from examweight.errors import DataError
 @pytest.fixture
 def cohort():
     return synthetic.generate_gradebook(synthetic.SyntheticSpec(seed=7))
+
+
+def uniform_report(book):
+    return experiment.evaluate(book, "final", approaches=(solvers.UNIFORM,))
 
 
 class TestRoundTrip:
@@ -167,6 +172,15 @@ class TestLoaderErrors:
         assert book.students == ("al",)
         assert book.question_ids("final") == ("Q1",)
 
+    @pytest.mark.parametrize("name", ["s.csv", "q.csv", "c.csv"])
+    def test_undecodable_file_is_named(self, tmp_path, name):
+        fs = self.fileset(tmp_path)
+        path = tmp_path / name
+        path.write_bytes(path.read_bytes() + b"\xe9\n")
+        message = f"{path}: 'utf-8' codec can't decode byte 0xe9"
+        with pytest.raises(DataError, match="^" + re.escape(message)):
+            dataio.load_gradebook(fs)
+
     def test_consistency_check_applied(self, tmp_path):
         # final component 50 but actual exam total 100
         fs = self.fileset(tmp_path, scores="student,Q1\nal,1.0\n")
@@ -244,6 +258,36 @@ class TestReportSerialization:
         assert rows[0][0] == "final (actual_excl)"
         wrows = dataio.weight_rows(rep)
         assert {r[2] for r in wrows} == {"actual_excl"}
+
+
+class TestWriters:
+    HEADER = ["student", "score"]
+    ROWS = [["al", repr(0.1)], ["bo, jr", 1 / 3]]
+    GOLDEN = b'student,score\r\nal,0.1\r\n"bo, jr",0.3333333333333333\r\n'
+
+    def test_csv_bytes_in_a_file(self, tmp_path):
+        out = tmp_path / "t.csv"
+        dataio.write_csv(self.HEADER, self.ROWS, out)
+        assert out.read_bytes() == self.GOLDEN
+
+    def test_csv_bytes_on_stdout(self, capsysbinary):
+        dataio.write_csv(self.HEADER, self.ROWS)
+        assert capsysbinary.readouterr().out == self.GOLDEN
+
+    WRITERS = {
+        "report-csv": lambda book, out: dataio.write_report(uniform_report(book), out, "csv"),
+        "report-json": lambda book, out: dataio.write_report(uniform_report(book), out, "json"),
+        "diagnostics-csv": lambda book, out: dataio.write_diagnostics([], out, "csv"),
+        "diagnostics-json": lambda book, out: dataio.write_diagnostics([], out, "json"),
+        "gradebook": dataio.write_gradebook_files,
+    }
+
+    @pytest.mark.parametrize("writer", list(WRITERS))
+    def test_unwritable_path_is_named(self, cohort, tmp_path, writer):
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        out = tmp_path / "file" / "out"
+        with pytest.raises(DataError, match="^" + re.escape(f"{out}: ")):
+            self.WRITERS[writer](cohort, out)
 
 
 class TestDiagnosticsSerialization:

@@ -186,20 +186,18 @@ class TestAbility:
 
     def test_actual_mode_is_overall(self):
         av = gb.ability(self.book(), "final")
-        np.testing.assert_allclose(av.values, [82.5, 45.0])
-        assert av.mode == gb.ACTUAL_SCALE
-        assert av.exclusion == gb.INCLUDE_EXAM
+        np.testing.assert_allclose(av, [82.5, 45.0])
 
     def test_normalized_mode_rescales_to_exam_mean(self):
         av = gb.ability(self.book(), "final", gb.NORMALIZED_SCALE)
         # exam actual-total mean 75, overall mean 63.75
-        np.testing.assert_allclose(av.values, np.array([82.5, 45.0]) * 75 / 63.75)
-        assert av.values.mean() == pytest.approx(75.0)
+        np.testing.assert_allclose(av, np.array([82.5, 45.0]) * 75 / 63.75)
+        assert av.mean() == pytest.approx(75.0)
 
     def test_exclusion_mode_flows_through(self):
         av = gb.ability(self.book(), "final", gb.ACTUAL_SCALE, gb.EXCLUDE_EXAM)
         np.testing.assert_allclose(
-            av.values, [(80 + 60 + 90) / 3, (40 + 40 + 50) / 3]
+            av, [(80 + 60 + 90) / 3, (40 + 40 + 50) / 3]
         )
 
     def test_unknown_exam(self):
