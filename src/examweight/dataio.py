@@ -12,8 +12,11 @@ and a header row:
 
 Every CSV file or table examweight writes goes through ``write_csv`` (the
 csv module's default dialect: comma-separated, CRLF line ends), to a file or
-to stdout; every JSON report goes through one JSON writer.  A file that
-cannot be read, decoded as UTF-8 or written raises DataError naming it.
+to stdout; every JSON report goes through one JSON writer.  A file is
+written to a temporary sibling and moved into place only when complete, so
+a failed write leaves no partial file, and the two files of a CSV report
+are moved only once both are written.  A file that cannot be read, decoded
+as UTF-8 or written raises DataError naming it.
 
 Report serialization: MAE tables use 4 decimal places, weight dumps keep full
 precision (repr round-trip), field ordering is deterministic.
@@ -22,11 +25,15 @@ precision (repr round-trip), field ordering is deterministic.
 from __future__ import annotations
 
 import csv
+import errno
 import json
+import os
 import sys
-from contextlib import contextmanager
+from collections.abc import Callable
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -64,33 +71,72 @@ def _read_rows(path: Path) -> list[list[str]]:
         raise DataError(f"{path}: {exc}") from exc
 
 
-@contextmanager
-def _writing(path: Path | str | None, newline: str | None = None):
-    """A text stream open for writing to path, or stdout when path is None; a
-    failed open or write raises DataError naming the path."""
-    if path is None:
-        yield sys.stdout
-        return
+def _write_files(writers: dict[Path, Callable[[TextIO], None]], newline: str | None = None) -> None:
+    """Write each file by calling its writer on a text stream.
+
+    Each file goes to a new temporary sibling of the file a path names
+    (through any symlink), and the siblings are moved onto those files only
+    after every one is complete and no path is a directory; otherwise they
+    are removed and no path is touched.  A device or pipe, such as
+    /dev/null, is written in place.  A failed open, write or move raises
+    DataError naming the path.
+    """
+    staged: list[tuple[Path, Path, Path]] = []  # (path, temporary file, target)
     try:
-        with open(path, "w", newline=newline, encoding="utf-8") as fh:
-            yield fh
+        for path, write in writers.items():
+            with _naming(path):
+                target = path.resolve()
+                if target.exists() and not (target.is_file() or target.is_dir()):
+                    stream, mode = target, "w"
+                else:
+                    stream, mode = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp"), "x"
+                    staged.append((path, stream, target))
+                with open(stream, mode, newline=newline, encoding="utf-8") as fh:
+                    write(fh)
+        for path, _, target in staged:
+            with _naming(path):
+                if target.is_dir():
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        for path, tmp, target in staged:
+            with _naming(path):
+                os.replace(tmp, target)
+    finally:
+        for _, tmp, _ in staged:
+            with suppress(OSError):
+                tmp.unlink(missing_ok=True)
+
+
+@contextmanager
+def _naming(path: Path):
+    """Turn an OSError inside the block into DataError naming path."""
+    try:
+        yield
     except OSError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+        raise DataError(f"{path}: {exc.strerror or exc}") from exc
+
+
+def _csv_writer(header, rows) -> Callable[[TextIO], None]:
+    def write(fh):
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return write
 
 
 def write_csv(header, rows, path: Path | str | None = None) -> None:
     """Write a header row and then rows as CSV to path, or to stdout when path
     is None."""
-    with _writing(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    if path is None:
+        _csv_writer(header, rows)(sys.stdout)
+    else:
+        _write_files({Path(path): _csv_writer(header, rows)}, newline="")
 
 
 def _write_json(payload, path: Path) -> None:
-    with _writing(path) as fh:
+    def write(fh):
         json.dump(payload, fh, indent=2)
         fh.write("\n")
+    _write_files({path: write})
 
 
 def _parse_float(cell: str, path: Path, row: int, col: str) -> float:
@@ -225,32 +271,28 @@ def load_gradebook(fileset: GradebookFileSet, check_consistency: bool = True) ->
 
 def write_gradebook_files(book: gb.Gradebook, out_dir: Path | str) -> GradebookFileSet:
     """Write a Gradebook as the three-file CSV set (full float precision, so a
-    reload reproduces the in-memory values exactly)."""
+    reload reproduces the in-memory values exactly), all files or none."""
     out_dir = Path(out_dir)
-    try:
+    with _naming(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise DataError(f"{out_dir}: {exc}") from exc
-    scores_paths = {}
-    questions_paths = {}
+    scores_paths = {exam: out_dir / f"{exam}_scores.csv" for exam in sorted(book.exams)}
+    questions_paths = {exam: out_dir / f"{exam}_questions.csv" for exam in sorted(book.exams)}
+    cpath = out_dir / "components.csv"
+    writers = {}
     for exam in sorted(book.exams):
-        spath = out_dir / f"{exam}_scores.csv"
-        qpath = out_dir / f"{exam}_questions.csv"
-        write_csv(["student", *book.question_ids(exam)], (
+        writers[scores_paths[exam]] = _csv_writer(["student", *book.question_ids(exam)], [
             [student, *(repr(float(v)) for v in book.exams[exam][i])]
             for i, student in enumerate(book.students)
-        ), spath)
-        write_csv(["id", "kind", "max_points", "parent"], (
+        ])
+        writers[questions_paths[exam]] = _csv_writer(["id", "kind", "max_points", "parent"], [
             [q.id, KIND_NAMES[q.kind], repr(float(q.max_points)), q.parent or ""]
             for q in book.questions[exam]
-        ), qpath)
-        scores_paths[exam] = spath
-        questions_paths[exam] = qpath
-    cpath = out_dir / "components.csv"
-    write_csv(COMPONENT_HEADERS, (
+        ])
+    writers[cpath] = _csv_writer(COMPONENT_HEADERS, [
         [student, *(repr(float(book.components[name][i])) for name in gb.COMPONENTS)]
         for i, student in enumerate(book.students)
-    ), cpath)
+    ])
+    _write_files(writers, newline="")  # every file of the set, or none
     return GradebookFileSet(scores=scores_paths, questions=questions_paths, components=cpath)
 
 
@@ -304,8 +346,10 @@ def write_report(report: EvaluationReport, path: Path | str, format: str = "csv"
     wrows = weight_rows(report)
     if format == "csv":
         wpath = path.with_name(path.stem + "_weights.csv")
-        write_csv(header, rows, path)
-        write_csv(WEIGHT_HEADER, wrows, wpath)
+        # both files or neither
+        _write_files({
+            path: _csv_writer(header, rows), wpath: _csv_writer(WEIGHT_HEADER, wrows),
+        }, newline="")
         return [path, wpath]
     if format == "json":
         _write_json({

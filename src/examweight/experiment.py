@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gradebook as gb
-from . import solvers
+from . import linalg, solvers
 from .errors import ConvergenceError, DataError
 from .solvers import SolverConfig, WeightSolution
 
@@ -60,9 +60,15 @@ def loocv_fit(
     gives every fold of every column from one SVD of the design, whatever
     its shape or rank (linalg.loo_min_norm), unless the accuracy guard
     declines it.  Then, and for the other solvers, each fold of each column
-    is fit on its own.  A fold's ConvergenceError or DataError is re-raised
-    with the fold in its message and the target's column index in its
-    ``column`` attribute.
+    is fit on its own.
+
+    An entry whose signature takes start (nnls) is fit once to the full
+    cohort of each column when linalg.loo_full_column_rank certifies any
+    fold, and each certified fold, whose optimum is unique, starts from that
+    fit; the start changes the work, not the weights.  The other folds, and
+    every fold of a column whose full fit fails, start cold.  A fold's
+    ConvergenceError or DataError is re-raised with the fold in its message
+    and the target's column index in its ``column`` attribute.
     """
     s = np.asarray(s, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -71,28 +77,50 @@ def loocv_fit(
     if n < 2:
         raise ValueError("leave-one-out needs at least 2 students")
     fitter = solvers.FITTERS[solver]
+    parameters = inspect.signature(fitter).parameters
     columns = None
-    if "leave_one_out" in inspect.signature(fitter).parameters:
+    if "leave_one_out" in parameters:
         columns = fitter(s, targets, cfg, leave_one_out=True)
     if columns is None:
-        columns = [_fold_fits(s, targets[:, t], solver, cfg, t) for t in range(targets.shape[1])]
+        warm = np.zeros(n, dtype=bool)
+        if "start" in parameters:
+            warm = linalg.loo_full_column_rank(s, cfg.rank_cutoff)
+        columns = [
+            _fold_fits(s, targets[:, t], solver, cfg, t, warm) for t in range(targets.shape[1])
+        ]
     fits = [(folds, _average(folds, solver)) for folds in columns]
     return fits[0] if a.ndim == 1 else fits
 
 
-def _fold_fits(s, a, solver, cfg, column) -> list[WeightSolution]:
+def _fold_fits(s, a, solver, cfg, column, warm) -> list[WeightSolution]:
+    """Every fold's fit; fold k starts from the full cohort's fit if warm[k]."""
     n = len(a)
     fitter = solvers.FITTERS[solver]
+    start = None
+    if warm.any():
+        try:
+            start = fitter(s, a, cfg)
+        except ConvergenceError:
+            pass  # every fold starts cold
     folds: list[WeightSolution] = []
     for k in range(n):
         keep = np.arange(n) != k
         try:
-            folds.append(fitter(s[keep], a[keep], cfg))
+            folds.append(_fit_fold(fitter, s[keep], a[keep], cfg, start if warm[k] else None))
         except (ConvergenceError, DataError) as exc:
             err = _with_context(exc, f"fold {k}")
             err.column = column
             raise err from exc
     return folds
+
+
+def _fit_fold(fitter, s, a, cfg, start) -> WeightSolution:
+    if start is not None:
+        try:
+            return fitter(s, a, cfg, start=start)
+        except ConvergenceError:
+            pass  # the start's extra solves may pass the cap; a cold fit decides
+    return fitter(s, a, cfg)
 
 
 def _average(folds: list[WeightSolution], solver: str) -> WeightSolution:

@@ -1,7 +1,8 @@
 """Dense linear algebra kernel: thin SVD, Moore-Penrose pseudoinverse,
 minimum-norm least-squares solving, centering on a basis of the zero-sum
-vectors, and all leave-one-out minimum-norm solutions of any system from
-one SVD, unless an accuracy guard declines it.
+vectors, all leave-one-out minimum-norm solutions of any system from one
+SVD, unless an accuracy guard declines it, and a one-SVD certificate of
+which leave-one-out folds keep full column rank.
 
 All routines are pure functions on float64 numpy arrays; the SVD is numpy's
 LAPACK routine.  Rank decisions are relative to the largest singular value.
@@ -126,6 +127,45 @@ def center(a) -> tuple[np.ndarray, np.ndarray]:
     return basis, basis.T @ (a - a[0])
 
 
+def _leverage_gaps(u, centered=False) -> tuple[np.ndarray, np.ndarray]:
+    """(I - H, 1 - h_jj) for the hat matrix H = u u^T of u's orthonormal
+    columns, plus 1/n in every entry when centered.  1 - h_jj is taken as
+    ||(I - H)[:, j]||^2, which is accurate near 0 where 1 - ||u[j]||^2 is
+    not."""
+    n = len(u)
+    resid_map = np.eye(n) - u @ u.T - (1.0 / n if centered else 0.0)
+    return resid_map, np.sum(resid_map * resid_map, axis=0)
+
+
+def _keeps_rank(sigma, gap, rank_cutoff: float) -> np.ndarray:
+    """Per row j, whether dropping it keeps all r = len(sigma) singular
+    values above rank_cutoff times the largest: by interlacing, the r-th
+    singular value without row j is at least sigma_r * sqrt(1 - h_jj), and
+    the largest is at most sigma_1."""
+    return sigma[-1] * np.sqrt(gap) > rank_cutoff * sigma[0]
+
+
+def loo_full_column_rank(a, rank_cutoff: float | None = None) -> np.ndarray:
+    """Per row j, whether a without row j certainly has full column rank.
+
+    Certified from one SVD of a by the bound of ``_keeps_rank``: the fold's
+    p-th singular value exceeds rank_cutoff times its largest.  rank_cutoff
+    defaults to the folds' own max(rows - 1, p) * machine epsilon, which is
+    at least the default cutoff of a solve on any subset of a fold's
+    columns, so no such solve of a certified fold truncates its rank.  The
+    test is conservative: a fold near the cutoff may be of full rank and not
+    certified.  When rows - 1 < p no fold is, and no SVD is made.
+    """
+    a = as_matrix(a)
+    n, p = a.shape
+    if n - 1 < p:
+        return np.zeros(n, dtype=bool)
+    if rank_cutoff is None:
+        rank_cutoff = default_rank_cutoff(n - 1, p)
+    res = svd(a)
+    return _keeps_rank(res.singular_values, _leverage_gaps(res.u)[1], rank_cutoff)
+
+
 # loo_min_norm's bound on the estimated relative error of a fold solution;
 # past it the folds are left to per-fold solves.  A tenth of the 1e-10 within
 # which a changed result counts as the same: over 74,000 accepted folds of
@@ -185,9 +225,8 @@ def loo_min_norm(a, ys, rank_cutoff: float | None = None, centered: bool = False
         u = basis @ u
     pinv_t = (u / sigma) @ res.v[:, :r].T  # P^T
     x0 = pinv_t.T @ ys
-    resid_map = np.eye(n) - u @ u.T - (1.0 / n if centered else 0.0)  # I - H
+    resid_map, gap = _leverage_gaps(u, centered)
     resid = resid_map @ ys
-    gap = np.sum(resid_map * resid_map, axis=0)  # 1 - h_jj
     # an exact 0 comes out of rounding below this unless a is ill-conditioned
     at_one = gap <= (10 * default_rank_cutoff(n, p)) ** 2
     gap[at_one] = 1.0
@@ -211,7 +250,7 @@ def loo_min_norm(a, ys, rank_cutoff: float | None = None, centered: bool = False
     top = sigma[0] * np.sqrt(np.maximum(1.0 - u[:, 0] ** 2 * (n / (n - 1) if centered else 1.0), 0.0))
     if (
         np.any(dropped > rank_cutoff * top)
-        or np.any(sigma[-1] * np.sqrt(gap) <= rank_cutoff * sigma[0])
+        or not np.all(_keeps_rank(sigma, gap, rank_cutoff))
         or np.any(error > LOO_RTOL * np.linalg.norm(x, axis=1))
     ):
         return None

@@ -327,12 +327,24 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
     )
 
 
-def fit_nnls(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
+def fit_nnls(
+    s, a, cfg: SolverConfig = DEFAULT_CONFIG, *, start: WeightSolution | None = None
+) -> WeightSolution:
     """Lawson-Hanson active-set solution of min ||S w - a|| s.t. w >= 0.
 
     No bias column is added (a nonnegative intercept would distort weights);
     the intercept is fixed at 0.  Candidate selection ties are broken toward
     the smallest column index for determinism.
+
+    With start, the fit of a nearby problem (experiment.loocv_fit passes
+    the full cohort's fit to a leave-one-out fold), the first passive set
+    is start's positive weights: the fit solves on it and drops the
+    nonpositive coordinates until the solution is feasible, then runs the
+    active-set loop from there (passive-set reuse, Bro & De Jong 1997).
+    Those solves count in iterations and toward the cap, and the stopping
+    test on S^T (a - S w) is unchanged.  Where the optimum is unique, as
+    when S has full column rank, the start therefore changes the work and
+    not the answer; pass a start only there.
     """
     s, a = _check_design(s, a)
     n, m = s.shape
@@ -342,6 +354,28 @@ def fit_nnls(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
     x = np.zeros(m)
     passive = np.zeros(m, dtype=bool)
     iterations = 0
+
+    def passive_solve():
+        nonlocal iterations
+        iterations += 1
+        if iterations > max_iter:
+            raise ConvergenceError(f"NNLS exceeded iteration cap of {max_iter}")
+        z = np.zeros(m)
+        z[passive] = linalg.solve_min_norm(s[:, passive], a, cfg.rank_cutoff)
+        return z
+
+    if start is not None:
+        if len(start.question_weights) != m:
+            raise ValueError(
+                f"dimension mismatch: {m} score columns vs {len(start.question_weights)} start weights"
+            )
+        passive = start.question_weights > 0
+        while passive.any():
+            z = passive_solve()
+            if z[passive].min() > 0.0:
+                x = z
+                break
+            passive &= z > 0.0
     while True:
         grad = s.T @ (a - s @ x)  # negative objective gradient
         inactive = ~passive
@@ -353,13 +387,7 @@ def fit_nnls(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
         candidates = np.flatnonzero(inactive & (grad >= wmax - tol))
         passive[candidates[0]] = True
         while True:
-            iterations += 1
-            if iterations > max_iter:
-                raise ConvergenceError(
-                    f"NNLS exceeded iteration cap of {max_iter}"
-                )
-            z = np.zeros(m)
-            z[passive] = linalg.solve_min_norm(s[:, passive], a, cfg.rank_cutoff)
+            z = passive_solve()
             if z[passive].min() > 0.0:
                 x = z
                 break
@@ -419,8 +447,19 @@ def predict(sol: WeightSolution, s) -> np.ndarray:
 # signature takes leave_one_out is first called once per leave-one-out run
 # by experiment.loocv_fit (the min-norm fitters answer it from one SVD of
 # any design), and per fold only when that returns None, as it does when
-# the accuracy guard declines the design; a functools.wraps wrapper reports
-# the signature of the fitter it wraps, so it must pass that keyword through.
+# the accuracy guard declines the design.  An entry whose signature takes
+# start (fit_nnls) is fit once to the full cohort and then called once per
+# fold, with start= that fit on folds certified to keep full column rank.
+# A functools.wraps wrapper reports the signature of the fitter it wraps,
+# so it must pass these keywords through.
+#
+# The benchmark's tracer (bench/tracing.py) wraps every entry and hands
+# each return value to a counter that reads .iterations, so a per-fold entry
+# must return one WeightSolution per call.  Its Huber counter,
+# _count_huber(values, sol, s, a, cfg), takes no other keyword: giving
+# fit_huber leave_one_out (a list return) or start would break every traced
+# run.  A Huber warm start through this entry therefore needs that counter
+# to accept extra keywords first, a benchmark change made on its own.
 FITTERS = {
     OLS_CLOSED_FORM: fit_ols_closed_form,
     LINEAR_INTERCEPT: fit_linear_intercept,

@@ -200,6 +200,16 @@ class TestExitCodes:
         assert err.startswith(f"error: {out}: ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_csv_report_is_written_whole_or_not_at_all(self, files, tmp_path, capsys):
+        # the MAE table can be written, its weights sibling cannot
+        (tmp_path / "pw" / "r_weights.csv").mkdir(parents=True)
+        out = tmp_path / "pw" / "r.csv"
+        code, _, err = run_cli(["evaluate", *gradebook_args(files), "--out", str(out)], capsys)
+        assert code == 1
+        assert err.startswith(f"error: {out.with_name('r_weights.csv')}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert [p.name for p in (tmp_path / "pw").iterdir()] == ["r_weights.csv"]
+
     def test_unwritable_out_dir_is_1(self, tmp_path, capsys):
         (tmp_path / "file").write_text("", encoding="utf-8")
         out_dir = tmp_path / "file" / "cohort"

@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import re
+import stat
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -288,6 +291,62 @@ class TestWriters:
         out = tmp_path / "file" / "out"
         with pytest.raises(DataError, match="^" + re.escape(f"{out}: ")):
             self.WRITERS[writer](cohort, out)
+
+
+    @staticmethod
+    def failing_rows():
+        yield ["al", "0.5"]
+        raise OSError("device lost")
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        out = tmp_path / "t.csv"
+        with pytest.raises(DataError, match="^" + re.escape(f"{out}: device lost")):
+            dataio.write_csv(self.HEADER, self.failing_rows(), out)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        out = tmp_path / "t.csv"
+        out.write_bytes(b"old")
+        with pytest.raises(DataError):
+            dataio.write_csv(self.HEADER, self.failing_rows(), out)
+        assert list(tmp_path.iterdir()) == [out] and out.read_bytes() == b"old"
+
+    def test_gradebook_set_is_written_together(self, cohort, tmp_path):
+        (tmp_path / "components.csv").mkdir()
+        with pytest.raises(DataError, match="^" + re.escape(f"{tmp_path / 'components.csv'}: ")):
+            dataio.write_gradebook_files(cohort, tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["components.csv"]
+
+    def test_symlink_is_written_through(self, tmp_path):
+        (tmp_path / "d").mkdir()
+        target = tmp_path / "d" / "t.csv"
+        target.write_bytes(b"old")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        dataio.write_csv(self.HEADER, self.ROWS, link)
+        assert link.is_symlink() and target.read_bytes() == self.GOLDEN
+        assert [p.name for p in (tmp_path / "d").iterdir()] == ["t.csv"]
+
+    def test_pipe_is_written_in_place(self, tmp_path):
+        # as /dev/null or /dev/stdout would be: not replaced by a file
+        fifo = tmp_path / "p"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        dataio.write_csv(self.HEADER, self.ROWS, fifo)
+        reader.join(timeout=10)
+        assert not reader.is_alive() and got == [self.GOLDEN]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+    def test_csv_report_pair_is_written_together(self, cohort, tmp_path):
+        (tmp_path / "r_weights.csv").mkdir()
+        with pytest.raises(DataError, match="^" + re.escape(f"{tmp_path / 'r_weights.csv'}: ")):
+            dataio.write_report(uniform_report(cohort), tmp_path / "r.csv")
+        assert [p.name for p in tmp_path.iterdir()] == ["r_weights.csv"]
+        paths = dataio.write_report(uniform_report(cohort), tmp_path / "q.csv")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["q.csv", "q_weights.csv", "r_weights.csv"]
+        assert paths == [tmp_path / "q.csv", tmp_path / "q_weights.csv"]
 
 
 class TestDiagnosticsSerialization:

@@ -283,6 +283,125 @@ class TestSharedLoo:
         assert n > m
 
 
+TALL_40x32 = dict(seed=3, noise=4.0, students=40, mc_questions=16, tf_questions=8,
+                 analytical_questions=4, analytical_subparts=8)
+
+
+def cohort(spec, cells=((gb.ACTUAL_SCALE, gb.INCLUDE_EXAM),)):
+    """The design and one target column per (scale, exclusion) cell."""
+    book = synthetic.generate_gradebook(synthetic.SyntheticSpec(**spec))
+    targets = np.column_stack([gb.ability(book, "final", *cell) for cell in cells])
+    return book.exams["final"], targets
+
+
+@pytest.fixture
+def nnls_calls(monkeypatch):
+    """The keywords of every call of the NNLS entry, through a wrapper."""
+    seen = []
+    original = solvers.FITTERS[solvers.NNLS]
+
+    @functools.wraps(original)
+    def recording(s, a, cfg=solvers.DEFAULT_CONFIG, **kwargs):
+        seen.append((len(a), kwargs))
+        return original(s, a, cfg, **kwargs)
+
+    monkeypatch.setitem(solvers.FITTERS, solvers.NNLS, recording)
+    return seen
+
+
+class TestWarmNnls:
+    """Full-rank NNLS folds start from the full cohort's fit, and give the
+    weights of a cold per-fold fit."""
+
+    @pytest.mark.parametrize("spec", [TALL_40x32, dict(seed=3, noise=4.0, students=60)],
+                             ids=["40x32", "60x53"])
+    def test_folds_equal_cold_per_fold_fits(self, spec, nnls_calls):
+        s, targets = cohort(spec, [(gb.ACTUAL_SCALE, gb.INCLUDE_EXAM),
+                                   (gb.NORMALIZED_SCALE, gb.EXCLUDE_EXAM)])
+        n = len(s)
+        assert linalg.loo_full_column_rank(s).all()
+        fits = experiment.loocv_fit(s, targets, solvers.NNLS)
+        # per column: one full-cohort fit, then every fold with its start
+        assert [size for size, _ in nnls_calls] == [n, *[n - 1] * n] * 2
+        assert all("start" in kwargs for size, kwargs in nnls_calls if size == n - 1)
+        for t, (folds, avg) in enumerate(fits):
+            for k, got in enumerate(folds):
+                cold = solvers.fit_nnls(np.delete(s, k, axis=0), np.delete(targets[:, t], k))
+                np.testing.assert_array_equal(got.question_weights, cold.question_weights)
+            np.testing.assert_array_equal(
+                avg.question_weights, np.mean([f.question_weights for f in folds], axis=0)
+            )
+
+    @pytest.mark.parametrize("design", ["repeated_column", "paper_9x53"])
+    def test_designs_without_a_certified_fold_get_no_start(self, design, nnls_calls):
+        if design == "repeated_column":
+            s, targets = cohort(TALL_40x32, [(gb.ACTUAL_SCALE, gb.INCLUDE_EXAM),
+                                             (gb.NORMALIZED_SCALE, gb.INCLUDE_EXAM)])
+            s = np.column_stack([s, s[:, 3]])
+        else:
+            s, targets = cohort(dict(seed=7), [(gb.ACTUAL_SCALE, gb.INCLUDE_EXAM),
+                                               (gb.NORMALIZED_SCALE, gb.INCLUDE_EXAM)])
+        n = len(s)
+        assert not linalg.loo_full_column_rank(s).any()
+        fits = experiment.loocv_fit(s, targets, solvers.NNLS)
+        assert nnls_calls == [(n - 1, {})] * (2 * n)
+        for t, (folds, _) in enumerate(fits):
+            for k, got in enumerate(folds):
+                cold = solvers.fit_nnls(np.delete(s, k, axis=0), np.delete(targets[:, t], k))
+                np.testing.assert_array_equal(got.question_weights, cold.question_weights)
+
+    def test_svd_budget_on_the_tall_bench_cohort(self, svd_calls):
+        # at the parent every one of 862 passive solves was an SVD
+        s, targets = cohort(TALL_40x32)
+        experiment.loocv_fit(s, targets, solvers.NNLS)
+        assert len(svd_calls) <= 130
+
+    def test_a_failed_start_fit_leaves_the_folds_cold(self, monkeypatch, nnls_calls):
+        s, targets = cohort(TALL_40x32)
+        n = len(s)
+        recording = solvers.FITTERS[solvers.NNLS]
+
+        @functools.wraps(recording)
+        def full_fit_fails(s, a, cfg=solvers.DEFAULT_CONFIG, **kwargs):
+            if len(a) == n:
+                raise ConvergenceError("no full fit")
+            return recording(s, a, cfg, **kwargs)
+
+        monkeypatch.setitem(solvers.FITTERS, solvers.NNLS, full_fit_fails)
+        folds, _ = experiment.loocv_fit(s, targets[:, 0], solvers.NNLS)
+        assert nnls_calls == [(n - 1, {})] * n
+        cold = solvers.fit_nnls(s[1:], targets[1:, 0])
+        np.testing.assert_array_equal(folds[0].question_weights, cold.question_weights)
+
+    def test_a_fold_whose_start_passes_the_cap_is_fit_cold(self):
+        # every cold fold takes at most 3 solves; from the start, fold 4 takes 4
+        s = np.array([[0.343, -1.163, -0.187], [-0.339, -0.228, 0.597],
+                      [-1.279, 0.967, -1.128], [-0.188, 0.887, 0.664],
+                      [-0.691, 1.769, 0.366]])
+        a = np.array([-2.863, 0.128, -2.493, 1.303, -4.025])
+        cfg = SolverConfig(nnls_max_iterations=3)
+        assert linalg.loo_full_column_rank(s).all()
+        with pytest.raises(ConvergenceError, match="iteration cap"):
+            solvers.fit_nnls(s[:4], a[:4], cfg, start=solvers.fit_nnls(s, a, cfg))
+        folds, _ = experiment.loocv_fit(s, a, solvers.NNLS, cfg)
+        for k, got in enumerate(folds):
+            cold = solvers.fit_nnls(np.delete(s, k, axis=0), np.delete(a, k), cfg)
+            np.testing.assert_array_equal(got.question_weights, cold.question_weights)
+
+    def test_a_fitter_without_start_is_not_certified(self, monkeypatch, svd_calls):
+        s, targets = cohort(TALL_40x32)
+        seen = []
+
+        def replacement(s, a, cfg):
+            seen.append(len(a))
+            return solvers.fit_nnls(s, a, cfg)
+
+        monkeypatch.setitem(solvers.FITTERS, solvers.NNLS, replacement)
+        experiment.loocv_fit(s, targets, solvers.NNLS)
+        assert seen == [len(s) - 1] * len(s)
+        assert (len(s), s.shape[1]) not in svd_calls
+
+
 class TestEvaluate:
     def test_report_shape_and_mae_arithmetic(self):
         g = tall_linear_book()

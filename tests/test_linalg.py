@@ -235,6 +235,63 @@ class TestSolveMinNorm:
         assert np.max(np.abs(x1 - x2)) <= 1e-10 * max(1.0, np.max(np.abs(x2)))
 
 
+    def test_loo_full_column_rank_calls_svd_once(self, calls):
+        linalg.loo_full_column_rank(np.random.default_rng(2).random((6, 3)))
+        assert calls == [(6, 3)]
+
+    def test_loo_full_column_rank_skips_svd_when_folds_are_wide(self, calls):
+        # 9 rows and 53 columns, as the paper's cohort: no fold has full
+        # column rank, and nothing is factored to say so
+        certified = linalg.loo_full_column_rank(np.random.default_rng(2).random((9, 53)))
+        assert certified.tolist() == [False] * 9 and calls == []
+
+
+class TestLooFullColumnRank:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 10),
+        st.integers(-3, 3),
+        st.sampled_from(["plain", "repeated_row", "repeated_column", "scaled_column"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_rank_of_each_fold(self, seed, n, extra, kind):
+        # tall (extra < 0), square-fold and wide designs
+        rng = np.random.default_rng(seed)
+        p = max(1, n - 1 + extra)
+        a = rng.standard_normal((n, p))
+        if kind == "repeated_row":
+            a[-1] = a[0]
+        elif kind == "repeated_column" and p > 1:
+            a[:, -1] = a[:, 0]
+        elif kind == "scaled_column":
+            a[:, 0] *= 10.0 ** -rng.uniform(0, 12)  # toward the cutoff
+        certified = linalg.loo_full_column_rank(a)
+        assert certified.shape == (n,) and certified.dtype == bool
+        top = np.linalg.svd(a, compute_uv=False)[0]
+        for j in range(n):
+            fold = np.delete(a, j, axis=0)
+            full = np.linalg.matrix_rank(fold) == p
+            # a certified fold is of full rank under numpy's own cutoff,
+            # which for a (n - 1)-by-p fold is the default here
+            assert full or not certified[j]
+            # and a fold far from the cutoff is certified
+            if min(fold.shape) == p and np.linalg.svd(fold, compute_uv=False)[-1] > 1e-4 * top:
+                assert certified[j]
+
+    def test_a_row_alone_in_a_direction_is_not_certified(self):
+        # only row 0 answers question 0
+        a = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 2.0], [0.0, 3.0]])
+        assert linalg.loo_full_column_rank(a).tolist() == [False, True, True, True]
+
+    def test_cutoff_decides(self):
+        a = np.array([[1.0, 0.0], [0.0, 1e-3], [1.0, 1e-3], [2.0, 0.0]])
+        assert linalg.loo_full_column_rank(a).all()
+        assert not linalg.loo_full_column_rank(a, rank_cutoff=1e-2).any()
+
+    def test_zero_design_is_not_certified(self):
+        assert not linalg.loo_full_column_rank(np.zeros((4, 2))).any()
+
+
 class TestLooMinNorm:
     def test_identity_folds(self):
         # fold 0 keeps row (0, 1) with target 2; fold 1 keeps (1, 0) with 1

@@ -121,16 +121,22 @@ class TestNnls:
         sol = solvers.fit_nnls(np.eye(3), [1.0, 2.0, 3.0])
         assert sol.intercept == 0.0
 
-    @given(st.integers(0, 1000))
+    @given(st.integers(0, 1000), st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_matches_enumeration_and_kkt(self, seed):
+    def test_matches_enumeration_and_kkt(self, seed, warm):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 9))
         p = int(rng.integers(1, 7))
         s = rng.standard_normal((n, p))
         a = rng.standard_normal(n) * 3
         cfg = SolverConfig()
-        sol = solvers.fit_nnls(s, a, cfg)
+        start = None
+        if warm:  # random weights, about half of them zero
+            start = solvers.WeightSolution(
+                question_weights=rng.random(p) * (rng.random(p) < 0.5),
+                intercept=0.0, solver_id=solvers.NNLS,
+            )
+        sol = solvers.fit_nnls(s, a, cfg, start=start)
         x = sol.question_weights
         assert np.all(x >= 0)
         oracle_x, oracle_obj = brute_force_nnls(s, a)
@@ -143,6 +149,46 @@ class TestNnls:
         passive = x > cfg.nnls_tolerance
         assert np.all(np.abs(grad[passive]) < 1e-8)
         assert np.all(grad[~passive] >= -cfg.nnls_tolerance)
+
+    def test_start_at_the_optimum_takes_one_solve(self):
+        rng = np.random.default_rng(3)
+        s = rng.random((12, 5))
+        a = s @ np.array([2.0, 0.0, 1.0, 0.0, 3.0]) - 0.5 * s[:, 1]
+        cold = solvers.fit_nnls(s, a)
+        warm = solvers.fit_nnls(s, a, start=cold)
+        assert cold.iterations > 1 and warm.iterations == 1
+        np.testing.assert_array_equal(warm.question_weights, cold.question_weights)
+
+    def test_infeasible_start_is_pruned_to_a_feasible_one(self):
+        # the unconstrained optimum on all three columns has a negative
+        # weight; dropping it gives the answer, in two solves
+        s = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+        a = s @ np.array([1.0, 2.0, -0.5])
+        start = solvers.WeightSolution(np.ones(3), 0.0, solvers.NNLS)
+        warm = solvers.fit_nnls(s, a, start=start)
+        cold = solvers.fit_nnls(s, a)
+        np.testing.assert_allclose(warm.question_weights, cold.question_weights, atol=1e-12)
+        assert warm.question_weights[2] == 0.0 and warm.iterations == 2
+
+    def test_zero_start_is_a_cold_fit(self):
+        rng = np.random.default_rng(4)
+        s, a = rng.random((8, 4)), rng.random(8)
+        cold = solvers.fit_nnls(s, a)
+        warm = solvers.fit_nnls(s, a, start=solvers.WeightSolution(np.zeros(4), 0.0, solvers.NNLS))
+        np.testing.assert_array_equal(warm.question_weights, cold.question_weights)
+        assert warm.iterations == cold.iterations
+
+    def test_start_solves_count_toward_the_cap(self):
+        s = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+        a = s @ np.array([1.0, 2.0, -0.5])
+        start = solvers.WeightSolution(np.ones(3), 0.0, solvers.NNLS)
+        with pytest.raises(ConvergenceError, match="iteration cap of 1"):
+            solvers.fit_nnls(s, a, SolverConfig(nnls_max_iterations=1), start=start)
+
+    def test_start_of_another_length_is_rejected(self):
+        start = solvers.WeightSolution(np.ones(2), 0.0, solvers.NNLS)
+        with pytest.raises(ValueError, match="start weights"):
+            solvers.fit_nnls(np.eye(3), np.ones(3), start=start)
 
     def test_iteration_cap(self):
         rng = np.random.default_rng(1)
