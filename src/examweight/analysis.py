@@ -29,16 +29,16 @@ def extreme_questions(
     solver: str,
     k: int = 3,
     scale: str = gb.ACTUAL_SCALE,
-    exclusion: str = gb.INCLUDE_EXAM,
 ) -> tuple[list[tuple[str, float]], list[tuple[str, float]]]:
-    """The k largest- and k smallest-weight questions for one solver.
+    """The k largest- and k smallest-weight questions for one solver on the
+    include-exam target.
 
     Questions are ranked by averaged weight with ties broken by question id;
     a k beyond the question count truncates rather than failing.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    rec = report.get(solver, scale, exclusion)
+    rec = report.get(solver, scale, gb.INCLUDE_EXAM)
     weights = rec.averaged_weights.question_weights
     pairs = [(q, float(w)) for q, w in zip(report.question_ids, weights)]
     top = sorted(pairs, key=lambda p: (-p[1], p[0]))[:k]

@@ -1,14 +1,12 @@
 """Command-line surface: fit / evaluate / analyze / generate.
 
 Exit codes: 0 success, 1 data error, 2 solver non-convergence (hard caps
-always; soft Huber non-convergence only under --strict or
-EXAMWEIGHT_STRICT=1), 64 usage error.
+always; soft Huber non-convergence only under --strict), 64 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -138,10 +136,6 @@ def _config(args) -> solvers.SolverConfig:
     )
 
 
-def _is_strict(args) -> bool:
-    return getattr(args, "strict", False) or os.environ.get("EXAMWEIGHT_STRICT") == "1"
-
-
 def _scales(flag: str) -> tuple[str, ...]:
     return ("actual", "normalized") if flag == "both" else (flag,)
 
@@ -177,7 +171,7 @@ def _cmd_fit(args) -> int:
     report = experiment.evaluate(
         book, args.exam, cfg, _scales(args.scale), (exclusion,), approaches
     )
-    _warn_unconverged(report, _is_strict(args))
+    _warn_unconverged(report, args.strict)
     dataio.write_csv(dataio.WEIGHT_HEADER, dataio.weight_rows(report), args.out)
     return EXIT_OK
 
@@ -185,11 +179,10 @@ def _cmd_fit(args) -> int:
 def _cmd_evaluate(args) -> int:
     book = _load(args)
     cfg = _config(args)
-    strict = _is_strict(args)
     if args.compare_exclusion:
         comparison = experiment.exclusion_comparison(book, args.exam, cfg, _scales(args.scale))
-        _warn_unconverged(comparison.include_report, strict)
-        _warn_unconverged(comparison.exclude_report, strict)
+        _warn_unconverged(comparison.include_report, args.strict)
+        _warn_unconverged(comparison.exclude_report, args.strict)
         header = ["approach", "scale", "mae_include", "mae_exclude",
                   "question", "weight_delta"]
         rows = []
@@ -200,7 +193,7 @@ def _cmd_evaluate(args) -> int:
         dataio.write_csv(header, rows, args.out)
         return EXIT_OK
     report = experiment.evaluate(book, args.exam, cfg, _scales(args.scale))
-    _warn_unconverged(report, strict)
+    _warn_unconverged(report, args.strict)
     if args.out:
         dataio.write_report(report, args.out, args.format)
     else:
@@ -227,7 +220,7 @@ def _cmd_analyze(args) -> int:
         book, args.exam, cfg, (args.scale,), (gb.INCLUDE_EXAM,),
         approaches=(solver,),
     )
-    _warn_unconverged(report, _is_strict(args))
+    _warn_unconverged(report, args.strict)
     top, bottom = analysis.extreme_questions(report, solver, args.extremes, args.scale)
     rows = [["top", i + 1, q, repr(w)] for i, (q, w) in enumerate(top)]
     rows += [["bottom", i + 1, q, repr(w)] for i, (q, w) in enumerate(bottom)]

@@ -12,11 +12,10 @@ and a header row:
 
 Every CSV file or table examweight writes goes through ``write_csv`` (the
 csv module's default dialect: comma-separated, CRLF line ends), to a file or
-to stdout; every JSON report goes through one JSON writer.  A file is
-written to a temporary sibling and moved into place only when complete, so
-a failed write leaves no partial file, and the two files of a CSV report
-are moved only once both are written.  A file that cannot be read, decoded
-as UTF-8 or written raises DataError naming it.
+to stdout.  A file is written to a temporary sibling and moved into place
+only when complete, so a failed write leaves no partial file, and the two
+files of a CSV report are moved only once both are written.  A file that
+cannot be read, decoded as UTF-8 or written raises DataError naming it.
 
 Report serialization: MAE tables use 4 decimal places, weight dumps keep full
 precision (repr round-trip), field ordering is deterministic.
@@ -132,13 +131,6 @@ def write_csv(header, rows, path: Path | str | None = None) -> None:
         _write_files({Path(path): _csv_writer(header, rows)}, newline="")
 
 
-def _write_json(payload, path: Path) -> None:
-    def write(fh):
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    _write_files({path: write})
-
-
 def _parse_float(cell: str, path: Path, row: int, col: str) -> float:
     try:
         return float(cell)
@@ -189,10 +181,16 @@ def _load_questions(path: Path) -> tuple[gb.Question, ...]:
     if not rows or rows[0] != ["id", "kind", "max_points", "parent"]:
         raise DataError(f"{path}: expected header 'id,kind,max_points,parent'")
     questions = []
+    first_rows: dict[str, int] = {}
     for r, row in enumerate(rows[1:], start=2):
         if len(row) != 4:
             raise DataError(f"{path}: row {r}: expected 4 fields, got {len(row)}")
         qid, kind, pts, parent = row
+        if qid in first_rows:
+            raise DataError(
+                f"{path}: row {r}: duplicate question {qid!r} (first on row {first_rows[qid]})"
+            )
+        first_rows[qid] = r
         if kind not in KIND_CODES:
             raise DataError(
                 f"{path}: row {r}, column 'kind': unknown kind {kind!r} "
@@ -352,19 +350,18 @@ def write_report(report: EvaluationReport, path: Path | str, format: str = "csv"
         }, newline="")
         return [path, wpath]
     if format == "json":
-        _write_json({
+        text = json.dumps({
             "mae": [dict(zip(header, row)) for row in rows],
             "weights": [dict(zip(WEIGHT_HEADER, row)) for row in wrows],
-        }, path)
+        }, indent=2)
+        _write_files({path: lambda fh: fh.write(text + "\n")})
         return [path]
     raise ValueError(f"unknown format {format!r}")
 
 
-def write_diagnostics(
-    diagnostics: list[QuestionDiagnostic], path: Path | str, format: str = "csv"
-) -> list[Path]:
-    """Serialize diagnostics; distribution abilities are rounded to 2 decimals
-    here, at the reporting boundary."""
+def write_diagnostics(diagnostics: list[QuestionDiagnostic], path: Path | str) -> list[Path]:
+    """Serialize diagnostics as CSV; distribution abilities are rounded to 2
+    decimals here, at the reporting boundary."""
     path = Path(path)
     fields = ["question", "student", "score", "ability", "flags"]
     rows = []
@@ -373,10 +370,5 @@ def write_diagnostics(
         cells = [(student, repr(score), f"{abil:.2f}") for student, score, abil in diag.distribution]
         for cell in cells or [("", "", "")]:
             rows.append([diag.question, *cell, ";".join(diag.flags)])
-    if format == "csv":
-        write_csv(fields, rows, path)
-        return [path]
-    if format == "json":
-        _write_json([dict(zip(fields, row)) for row in rows], path)
-        return [path]
-    raise ValueError(f"unknown format {format!r}")
+    write_csv(fields, rows, path)
+    return [path]

@@ -84,7 +84,7 @@ def loocv_fit(
     if columns is None:
         warm = np.zeros(n, dtype=bool)
         if "start" in parameters:
-            warm = linalg.loo_full_column_rank(s, cfg.rank_cutoff)
+            warm = linalg.loo_full_column_rank(s)
         columns = [
             _fold_fits(s, targets[:, t], solver, cfg, t, warm) for t in range(targets.shape[1])
         ]

@@ -108,8 +108,8 @@ class Gradebook:
             raise DataError(f"unknown exam {exam!r}")
         return self.questions[exam]
 
-    def check_component_consistency(self, tol: float = 0.01) -> None:
-        """Exam components must match the actual-weight exam totals.
+    def check_component_consistency(self) -> None:
+        """Exam components must match the actual-weight exam totals to 0.01.
 
         Applies to every exam whose id is also a component name; raises
         DataError naming the first offending student.
@@ -119,7 +119,7 @@ class Gradebook:
                 continue
             totals = self.actual_exam_totals(exam)
             diff = np.abs(totals - self.components[exam])
-            bad = np.flatnonzero(diff > tol)
+            bad = np.flatnonzero(diff > 0.01)
             if bad.size:
                 i = int(bad[0])
                 raise DataError(

@@ -5,7 +5,9 @@ SVD, unless an accuracy guard declines it, and a one-SVD certificate of
 which leave-one-out folds keep full column rank.
 
 All routines are pure functions on float64 numpy arrays; the SVD is numpy's
-LAPACK routine.  Rank decisions are relative to the largest singular value.
+LAPACK routine.  Rank decisions are relative to the largest singular value:
+a routine's rank_cutoff must be positive and defaults to max(rows, cols) *
+machine epsilon of the systems it solves.
 Intended scale is desk-size problems (up to a few hundred rows/columns).
 """
 
@@ -45,6 +47,16 @@ def default_rank_cutoff(rows: int, cols: int) -> float:
     return max(rows, cols) * np.finfo(float).eps
 
 
+def _rank_cutoff(rank_cutoff: float | None, rows: int, cols: int) -> float:
+    """rank_cutoff, which must be positive, or default_rank_cutoff(rows, cols)
+    when it is None."""
+    if rank_cutoff is None:
+        return default_rank_cutoff(rows, cols)
+    if not rank_cutoff > 0:
+        raise ValueError("rank_cutoff must be positive")
+    return rank_cutoff
+
+
 @dataclass(frozen=True)
 class SvdResult:
     """Thin SVD: ``a = u @ diag(singular_values) @ v.T``.
@@ -79,10 +91,7 @@ def pinv(a, rank_cutoff: float | None = None) -> np.ndarray:
     zeroed; rank_cutoff defaults to max(rows, cols) * machine epsilon.
     """
     a = as_matrix(a)
-    if rank_cutoff is None:
-        rank_cutoff = default_rank_cutoff(*a.shape)
-    if rank_cutoff <= 0:
-        raise ValueError("rank_cutoff must be positive")
+    rank_cutoff = _rank_cutoff(rank_cutoff, *a.shape)
     res = svd(a)
     smax = res.singular_values[0]
     thresh = rank_cutoff * smax
@@ -104,8 +113,7 @@ def solve_min_norm(a, y, rank_cutoff: float | None = None) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: matrix has {a.shape[0]} rows, vector has {len(y)}"
         )
-    if rank_cutoff is None:
-        rank_cutoff = default_rank_cutoff(*a.shape)
+    rank_cutoff = _rank_cutoff(rank_cutoff, *a.shape)
     res = svd(a)
     smax = res.singular_values[0]
     thresh = rank_cutoff * smax
@@ -158,10 +166,9 @@ def loo_full_column_rank(a, rank_cutoff: float | None = None) -> np.ndarray:
     """
     a = as_matrix(a)
     n, p = a.shape
+    rank_cutoff = _rank_cutoff(rank_cutoff, n - 1, p)
     if n - 1 < p:
         return np.zeros(n, dtype=bool)
-    if rank_cutoff is None:
-        rank_cutoff = default_rank_cutoff(n - 1, p)
     res = svd(a)
     return _keeps_rank(res.singular_values, _leverage_gaps(res.u)[1], rank_cutoff)
 
@@ -187,7 +194,8 @@ def loo_min_norm(a, ys, rank_cutoff: float | None = None, centered: bool = False
 
     With P = pinv(a) truncated at rank r (pinv(Q^T a) Q^T when centered),
     X0 = P @ ys and the hat matrix H (which gains 1/n in every entry when
-    centered, for the intercept), fold j's solution is ``X0 - P[:, j] c_j^T``.  When h_jj < 1, row j lies in the span of the
+    centered, for the intercept), fold j's solution is
+    ``X0 - P[:, j] c_j^T``.  When h_jj < 1, row j lies in the span of the
     others and c_j = e_j / (1 - h_jj), e_j the full fit's residual: the
     leave-one-out downdate behind PRESS (Allen 1974) and DFBETA (Belsley,
     Kuh & Welsch 1980).  1 - h_jj is taken as ||(I - H)[:, j]||^2, which is
@@ -212,8 +220,7 @@ def loo_min_norm(a, ys, rank_cutoff: float | None = None, centered: bool = False
         raise ValueError("leave-one-out needs at least 2 rows")
     if centered:
         basis, a = center(a)
-    if rank_cutoff is None:
-        rank_cutoff = default_rank_cutoff(len(a) - 1, p)
+    rank_cutoff = _rank_cutoff(rank_cutoff, len(a) - 1, p)
     res = svd(a)
     sigma = res.singular_values
     r = int(np.sum(sigma > rank_cutoff * sigma[0]))

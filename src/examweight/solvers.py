@@ -38,29 +38,35 @@ STOP_ITERATION_CAP = "iteration_cap"
 # the problem stays well-posed and twice differentiable.
 _SIGMA_FLOOR = 1e-4
 
+# fit_nnls's optimality and feasibility tolerance: a coordinate of
+# S^T (a - S w) at or below it stops the active-set loop, and a weight at or
+# below it leaves the passive set.
+NNLS_TOLERANCE = 1e-11
+
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tuning knobs shared by the fitted solvers."""
+    """Tuning knobs shared by the fitted solvers.
+
+    huber_epsilon and huber_regularization are the CLI's --epsilon and
+    --alpha.  huber_tolerance, huber_max_iterations and nnls_max_iterations
+    keep their defaults outside tests, which set them to check convergence,
+    the iteration caps and the stop reasons.
+    """
 
     huber_epsilon: float = 1.8
     huber_regularization: float = 0.1
     huber_tolerance: float = 1e-8
     huber_max_iterations: int = 500
-    nnls_tolerance: float = 1e-11
     nnls_max_iterations: int | None = None  # default 3 * n_questions
-    rank_cutoff: float | None = None  # default: linalg conventional cutoff
 
     def __post_init__(self):
         if not self.huber_epsilon > 1.0:
             raise ValueError("huber_epsilon must exceed 1")
         if self.huber_regularization < 0:
             raise ValueError("huber_regularization must be nonnegative")
-        for name in ("huber_tolerance", "nnls_tolerance"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if self.rank_cutoff is not None and not self.rank_cutoff > 0:
-            raise ValueError("rank_cutoff must be positive")
+        if not self.huber_tolerance > 0:
+            raise ValueError("huber_tolerance must be positive")
         caps = {"huber_max_iterations": self.huber_max_iterations}
         if self.nnls_max_iterations is not None:
             caps["nnls_max_iterations"] = self.nnls_max_iterations
@@ -115,12 +121,12 @@ def fit_ols_closed_form(
     """
     if leave_one_out:
         s = linalg.as_matrix(s)
-        x = linalg.loo_min_norm(np.hstack([s, np.ones((len(s), 1))]), a, cfg.rank_cutoff)
+        x = linalg.loo_min_norm(np.hstack([s, np.ones((len(s), 1))]), a)
         return None if x is None else _loo_solutions(x[:, :-1], x[:, -1], OLS_CLOSED_FORM)
     s, a = _check_design(s, a)
     n, m = s.shape
     aug = np.hstack([s, np.ones((n, 1))])
-    x = linalg.solve_min_norm(aug, a, cfg.rank_cutoff)
+    x = linalg.solve_min_norm(aug, a)
     return WeightSolution(
         question_weights=x[:m], intercept=float(x[m]), solver_id=OLS_CLOSED_FORM
     )
@@ -141,7 +147,7 @@ def fit_linear_intercept(
     """
     if leave_one_out:
         s, targets = linalg.as_matrix(s), linalg.as_matrix(a)
-        w = linalg.loo_min_norm(s, targets, cfg.rank_cutoff, centered=True)
+        w = linalg.loo_min_norm(s, targets, centered=True)
         if w is None:
             return None
         # row j: the means over every student but j, as fold j's own fit uses
@@ -152,7 +158,7 @@ def fit_linear_intercept(
     s, a = _check_design(s, a)
     if len(s) > 1:
         basis, centered = linalg.center(s)
-        w = linalg.solve_min_norm(centered, basis.T @ (a - a[0]), cfg.rank_cutoff)
+        w = linalg.solve_min_norm(centered, basis.T @ (a - a[0]))
     else:  # one student centers to an empty design
         w = np.zeros(s.shape[1])
     intercept = float(a.mean() - s.mean(axis=0) @ w)
@@ -349,7 +355,6 @@ def fit_nnls(
     s, a = _check_design(s, a)
     n, m = s.shape
     max_iter = cfg.nnls_max_iterations or 3 * m
-    tol = cfg.nnls_tolerance
 
     x = np.zeros(m)
     passive = np.zeros(m, dtype=bool)
@@ -361,7 +366,7 @@ def fit_nnls(
         if iterations > max_iter:
             raise ConvergenceError(f"NNLS exceeded iteration cap of {max_iter}")
         z = np.zeros(m)
-        z[passive] = linalg.solve_min_norm(s[:, passive], a, cfg.rank_cutoff)
+        z[passive] = linalg.solve_min_norm(s[:, passive], a)
         return z
 
     if start is not None:
@@ -382,9 +387,9 @@ def fit_nnls(
         if not inactive.any():
             break
         wmax = grad[inactive].max()
-        if wmax <= tol:
+        if wmax <= NNLS_TOLERANCE:
             break
-        candidates = np.flatnonzero(inactive & (grad >= wmax - tol))
+        candidates = np.flatnonzero(inactive & (grad >= wmax - NNLS_TOLERANCE))
         passive[candidates[0]] = True
         while True:
             z = passive_solve()
@@ -397,7 +402,7 @@ def fit_nnls(
             # denom == 0 means x and z agree at the bound; any step keeps it there
             alpha = (x[blocking][movable] / denom[movable]).min() if movable.any() else 1.0
             x = x + alpha * (z - x)
-            passive &= x > tol
+            passive &= x > NNLS_TOLERANCE
             x[~passive] = 0.0
 
     x[x < 0] = 0.0
@@ -409,14 +414,12 @@ def fit_nnls(
     )
 
 
-def baseline_uniform(n_questions: int, total_points: float = 100.0) -> WeightSolution:
-    """Every question worth total_points / n_questions; intercept 0."""
+def baseline_uniform(n_questions: int) -> WeightSolution:
+    """Every question worth 100 / n_questions points; intercept 0."""
     if n_questions < 1:
         raise ValueError("need at least one question")
-    if not total_points > 0:
-        raise ValueError("total_points must be positive")
     return WeightSolution(
-        question_weights=np.full(n_questions, total_points / n_questions),
+        question_weights=np.full(n_questions, 100.0 / n_questions),
         intercept=0.0,
         solver_id=UNIFORM,
     )

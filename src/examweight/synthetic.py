@@ -26,6 +26,7 @@ import numpy as np
 from . import gradebook as gb
 
 _RAW_POINTS = {"mc": 3.0, "tf": 4.0, "analytical": 10.0}
+_PART_LETTERS = "abcdefghijklmnopqrstuvwxyz"  # subpart ids: AE1a, AE1b, ...
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,8 @@ class SyntheticSpec:
                 raise ValueError(f"{name} must be at least 1")
         if self.analytical_subparts < self.analytical_questions:
             raise ValueError("need at least one subpart per analytical question")
+        if self.analytical_subparts > len(_PART_LETTERS) * self.analytical_questions:
+            raise ValueError("at most 26 subparts per analytical question (ids run a to z)")
         for name in ("ability_stddev", "noise"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
@@ -82,12 +85,11 @@ def build_questions(spec: SyntheticSpec) -> tuple[gb.Question, ...]:
     counts = [0] * spec.analytical_questions
     for i in range(spec.analytical_subparts):
         counts[i % spec.analytical_questions] += 1
-    part_letters = "abcdefghijklmnopqrstuvwxyz"
     for parent_idx, count in enumerate(counts):
         parent = f"AE{parent_idx + 1}"
         for part in range(count):
             questions.append(gb.Question(
-                id=f"{parent}{part_letters[part]}",
+                id=f"{parent}{_PART_LETTERS[part]}",
                 kind=gb.ANALYTICAL_SUBPART,
                 max_points=_RAW_POINTS["analytical"] * factor / count,
                 parent=parent,

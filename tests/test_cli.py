@@ -231,11 +231,12 @@ class TestExitCodes:
         assert code == 0
         assert "warning" not in err
 
-    def test_strict_env_variable(self, files, capsys, monkeypatch):
-        monkeypatch.setenv("EXAMWEIGHT_STRICT", "1")
-        assert cli._is_strict(
-            cli.build_parser().parse_args(["evaluate", *gradebook_args(files)])
-        )
+    def test_more_subparts_than_letters_is_1(self, tmp_path, capsys):
+        argv = ["generate", "--analytical", "1", "--subparts", "27", "--out-dir", str(tmp_path)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert err == "error: at most 26 subparts per analytical question (ids run a to z)\n"
+        assert out == "" and not list(tmp_path.iterdir())
 
 
 class TestModuleEntryPoint:

@@ -145,6 +145,17 @@ class TestLoaderErrors:
         ):
             dataio.load_gradebook(fs)
 
+    def test_duplicate_question_names_the_questions_file(self, tmp_path):
+        fs = self.fileset(
+            tmp_path,
+            scores="student,Q1,Q2\nal,1,0\n",
+            questions="id,kind,max_points,parent\nQ1,mc,60,\nQ1,mc,40,\n",
+        )
+        with pytest.raises(
+            DataError, match=r"q\.csv: row 3: duplicate question 'Q1' \(first on row 2\)"
+        ):
+            dataio.load_gradebook(fs, check_consistency=False)
+
     def test_repeated_question_column_in_scores(self, tmp_path):
         # two students, so a silently dropped second Q1 column would still load
         fs = self.fileset(
@@ -280,8 +291,7 @@ class TestWriters:
     WRITERS = {
         "report-csv": lambda book, out: dataio.write_report(uniform_report(book), out, "csv"),
         "report-json": lambda book, out: dataio.write_report(uniform_report(book), out, "json"),
-        "diagnostics-csv": lambda book, out: dataio.write_diagnostics([], out, "csv"),
-        "diagnostics-json": lambda book, out: dataio.write_diagnostics([], out, "json"),
+        "diagnostics-csv": lambda book, out: dataio.write_diagnostics([], out),
         "gradebook": dataio.write_gradebook_files,
     }
 

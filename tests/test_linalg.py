@@ -176,6 +176,23 @@ class TestPinv:
             linalg.pinv(np.eye(2), rank_cutoff=0.0)
 
 
+# a fold of this design without row 4 has rank 1
+CUTOFF_DESIGN = np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0], [1.0, 0.0]])
+CUTOFF_ENTRY_POINTS = {
+    "pinv": lambda cutoff: linalg.pinv(CUTOFF_DESIGN, cutoff),
+    "solve_min_norm": lambda cutoff: linalg.solve_min_norm(CUTOFF_DESIGN, np.arange(4.0), cutoff),
+    "loo_min_norm": lambda cutoff: linalg.loo_min_norm(CUTOFF_DESIGN, np.eye(4, 2), cutoff),
+    "loo_full_column_rank": lambda cutoff: linalg.loo_full_column_rank(CUTOFF_DESIGN, cutoff),
+}
+
+
+@pytest.mark.parametrize("cutoff", [0.0, -1.0])
+@pytest.mark.parametrize("entry", list(CUTOFF_ENTRY_POINTS))
+def test_every_entry_point_rejects_a_nonpositive_cutoff(entry, cutoff):
+    with pytest.raises(ValueError, match="rank_cutoff must be positive"):
+        CUTOFF_ENTRY_POINTS[entry](cutoff)
+
+
 class TestSolveMinNorm:
     def test_identity_system(self):
         np.testing.assert_allclose(

@@ -35,6 +35,14 @@ class TestBuildQuestions:
         with pytest.raises(ValueError, match="difficulty"):
             synthetic.SyntheticSpec(difficulty_low=1.0, difficulty_high=-1.0)
 
+    def test_subparts_per_question_end_at_z(self):
+        ids = synthetic.build_questions(
+            synthetic.SyntheticSpec(analytical_questions=2, analytical_subparts=52)
+        )
+        assert {"AE1z", "AE2z"} <= {q.id for q in ids}
+        with pytest.raises(ValueError, match="at most 26 subparts"):
+            synthetic.SyntheticSpec(analytical_questions=2, analytical_subparts=53)
+
 
 class TestGenerateGradebook:
     def test_noiseless_components_equal_exam_totals(self):
