@@ -154,10 +154,10 @@ def _warn_unconverged(report: experiment.EvaluationReport, strict: bool) -> None
                 why = _STOP_MESSAGES[rec.fold_weights[k].stop_reason]
                 by_reason.setdefault(why, []).append(k)
             causes = "; ".join(f"folds {folds} {why}" for why, folds in by_reason.items())
-            msg = f"warning: {rec.approach} ({rec.scale}, {rec.exclusion}): {causes}"
+            msg = f"{rec.approach} ({rec.scale}, {rec.exclusion}): {causes}"
             if strict:
                 raise ConvergenceError(msg)
-            print(msg, file=sys.stderr)
+            print(f"warning: {msg}", file=sys.stderr)
 
 
 def _cmd_fit(args) -> int:

@@ -196,12 +196,17 @@ def _load_questions(path: Path) -> tuple[gb.Question, ...]:
                 f"{path}: row {r}, column 'kind': unknown kind {kind!r} "
                 f"(expected one of {sorted(KIND_CODES)})"
             )
-        questions.append(gb.Question(
-            id=qid,
-            kind=KIND_CODES[kind],
-            max_points=_parse_float(pts, path, r, "max_points"),
-            parent=parent or None,
-        ))
+        points = _parse_float(pts, path, r, "max_points")
+        if not (np.isfinite(points) and points > 0):
+            raise DataError(
+                f"{path}: row {r}, column 'max_points': {points} is not finite and positive"
+            )
+        try:
+            questions.append(gb.Question(
+                id=qid, kind=KIND_CODES[kind], max_points=points, parent=parent or None
+            ))
+        except DataError as exc:
+            raise DataError(f"{path}: row {r}: {exc}") from None
     if not questions:
         raise DataError(f"{path}: no questions")
     return tuple(questions)

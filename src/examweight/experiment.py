@@ -207,7 +207,7 @@ def evaluate(
             bad = [
                 k for k, f in enumerate(folds)
                 if not f.converged
-                and (f.gradient_norm is None or f.gradient_norm >= _FOLD_GRADIENT_CEILING)
+                and (f.gradient_norm is None or not f.gradient_norm < _FOLD_GRADIENT_CEILING)
             ]
             if bad:
                 raise ConvergenceError(

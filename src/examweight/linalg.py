@@ -5,15 +5,16 @@ SVD, unless an accuracy guard declines it, and a one-SVD certificate of
 which leave-one-out folds keep full column rank.
 
 All routines are pure functions on float64 numpy arrays; the SVD is numpy's
-LAPACK routine.  Rank decisions are relative to the largest singular value:
-a routine's rank_cutoff must be positive and defaults to max(rows, cols) *
-machine epsilon of the systems it solves.
+LAPACK routine, and ``svd`` returns the factors (u, sigma, v) of
+``a = u @ diag(sigma) @ v.T``: u n-by-k and v p-by-k with orthonormal
+columns, sigma nonincreasing and nonnegative, k = min(n, p).  Every other
+routine factors through it once and keeps the singular values above
+rank_cutoff times the largest; rank_cutoff must be positive and defaults to
+max(rows, cols) * machine epsilon of the systems it solves.
 Intended scale is desk-size problems (up to a few hundred rows/columns).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,23 +58,13 @@ def _rank_cutoff(rank_cutoff: float | None, rows: int, cols: int) -> float:
     return rank_cutoff
 
 
-@dataclass(frozen=True)
-class SvdResult:
-    """Thin SVD: ``a = u @ diag(singular_values) @ v.T``.
+def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD (u, sigma, v) of a by LAPACK (``numpy.linalg.svd``).
 
-    u is n-by-r and v is p-by-r with orthonormal columns; singular values are
-    nonincreasing and nonnegative, r = min(n, p).
-    """
-
-    u: np.ndarray
-    singular_values: np.ndarray
-    v: np.ndarray
-
-
-def svd(a) -> SvdResult:
-    """Thin SVD by LAPACK (``numpy.linalg.svd``).
-
-    Raises ConvergenceError if LAPACK's iteration does not converge.
+    ``a = u @ diag(sigma) @ v.T``: u is n-by-k and v is p-by-k with
+    orthonormal columns, sigma is nonincreasing and nonnegative, and
+    k = min(n, p).  Raises ConvergenceError if LAPACK's iteration does not
+    converge.
     """
     a = as_matrix(a)
     try:
@@ -81,7 +72,19 @@ def svd(a) -> SvdResult:
     except np.linalg.LinAlgError as exc:
         rows, cols = a.shape
         raise ConvergenceError(f"LAPACK SVD failed on a {rows}x{cols} matrix: {exc}") from exc
-    return SvdResult(u=u, singular_values=sigma, v=vt.T)
+    return u, sigma, vt.T
+
+
+def _truncated_svd(a, rank_cutoff: float | None):
+    """(u_r, sigma_r, v_r, dropped): svd(a) kept to the r singular values
+    above rank_cutoff times the largest, and the first one dropped (0 when
+    none is).  rank_cutoff is checked, or defaulted for a's shape, by
+    ``_rank_cutoff``."""
+    u, sigma, v = svd(a)
+    rank_cutoff = _rank_cutoff(rank_cutoff, len(u), len(v))
+    r = int(np.sum(sigma > rank_cutoff * sigma[0]))
+    dropped = sigma[r] if r < len(sigma) else 0.0
+    return u[:, :r], sigma[:r], v[:, :r], dropped
 
 
 def pinv(a, rank_cutoff: float | None = None) -> np.ndarray:
@@ -90,15 +93,8 @@ def pinv(a, rank_cutoff: float | None = None) -> np.ndarray:
     Reciprocals of singular values sigma_k <= rank_cutoff * sigma_max are
     zeroed; rank_cutoff defaults to max(rows, cols) * machine epsilon.
     """
-    a = as_matrix(a)
-    rank_cutoff = _rank_cutoff(rank_cutoff, *a.shape)
-    res = svd(a)
-    smax = res.singular_values[0]
-    thresh = rank_cutoff * smax
-    keep = res.singular_values > thresh
-    sinv = np.zeros_like(res.singular_values)
-    sinv[keep] = 1.0 / res.singular_values[keep]
-    return (res.v * sinv) @ res.u.T
+    u, sigma, v, _ = _truncated_svd(a, rank_cutoff)
+    return (v / sigma) @ u.T
 
 
 def solve_min_norm(a, y, rank_cutoff: float | None = None) -> np.ndarray:
@@ -107,20 +103,11 @@ def solve_min_norm(a, y, rank_cutoff: float | None = None) -> np.ndarray:
     Among all least-squares minimizers, returns the one with smallest
     Euclidean norm (the pseudoinverse solution).
     """
-    a = as_matrix(a)
     y = as_vector(y)
-    if len(y) != a.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: matrix has {a.shape[0]} rows, vector has {len(y)}"
-        )
-    rank_cutoff = _rank_cutoff(rank_cutoff, *a.shape)
-    res = svd(a)
-    smax = res.singular_values[0]
-    thresh = rank_cutoff * smax
-    coeffs = res.u.T @ y
-    keep = res.singular_values > thresh
-    scaled = np.where(keep, coeffs / np.where(keep, res.singular_values, 1.0), 0.0)
-    return res.v @ scaled
+    u, sigma, v, _ = _truncated_svd(a, rank_cutoff)
+    if len(y) != len(u):
+        raise ValueError(f"dimension mismatch: matrix has {len(u)} rows, vector has {len(y)}")
+    return v @ ((u.T @ y) / sigma)
 
 
 def center(a) -> tuple[np.ndarray, np.ndarray]:
@@ -169,8 +156,10 @@ def loo_full_column_rank(a, rank_cutoff: float | None = None) -> np.ndarray:
     rank_cutoff = _rank_cutoff(rank_cutoff, n - 1, p)
     if n - 1 < p:
         return np.zeros(n, dtype=bool)
-    res = svd(a)
-    return _keeps_rank(res.singular_values, _leverage_gaps(res.u)[1], rank_cutoff)
+    u, sigma, _, _ = _truncated_svd(a, rank_cutoff)
+    if len(sigma) < p:
+        return np.zeros(n, dtype=bool)
+    return _keeps_rank(sigma, _leverage_gaps(u)[1], rank_cutoff)
 
 
 # loo_min_norm's bound on the estimated relative error of a fold solution;
@@ -221,16 +210,12 @@ def loo_min_norm(a, ys, rank_cutoff: float | None = None, centered: bool = False
     if centered:
         basis, a = center(a)
     rank_cutoff = _rank_cutoff(rank_cutoff, len(a) - 1, p)
-    res = svd(a)
-    sigma = res.singular_values
-    r = int(np.sum(sigma > rank_cutoff * sigma[0]))
-    if r == 0:  # every fold's design is zero under the cutoff too
+    u, sigma, v, dropped = _truncated_svd(a, rank_cutoff)
+    if len(sigma) == 0:  # every fold's design is zero under the cutoff too
         return np.zeros((n, p, ys.shape[1]))
-    dropped = sigma[r] if r < len(sigma) else 0.0
-    u, sigma = res.u[:, :r], sigma[:r]
     if centered:
         u = basis @ u
-    pinv_t = (u / sigma) @ res.v[:, :r].T  # P^T
+    pinv_t = (u / sigma) @ v.T  # P^T
     x0 = pinv_t.T @ ys
     resid_map, gap = _leverage_gaps(u, centered)
     resid = resid_map @ ys

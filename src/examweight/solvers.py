@@ -61,12 +61,14 @@ class SolverConfig:
     nnls_max_iterations: int | None = None  # default 3 * n_questions
 
     def __post_init__(self):
-        if not self.huber_epsilon > 1.0:
-            raise ValueError("huber_epsilon must exceed 1")
-        if self.huber_regularization < 0:
-            raise ValueError("huber_regularization must be nonnegative")
-        if not self.huber_tolerance > 0:
-            raise ValueError("huber_tolerance must be positive")
+        bounds = {
+            "huber_epsilon": (self.huber_epsilon > 1.0, "exceed 1"),
+            "huber_regularization": (self.huber_regularization >= 0, "nonnegative"),
+            "huber_tolerance": (self.huber_tolerance > 0, "positive"),
+        }
+        for name, (inside, rule) in bounds.items():
+            if not (inside and np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite and {rule}")
         caps = {"huber_max_iterations": self.huber_max_iterations}
         if self.nnls_max_iterations is not None:
             caps["nnls_max_iterations"] = self.nnls_max_iterations

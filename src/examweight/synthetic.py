@@ -27,6 +27,12 @@ from . import gradebook as gb
 
 _RAW_POINTS = {"mc": 3.0, "tf": 4.0, "analytical": 10.0}
 _PART_LETTERS = "abcdefghijklmnopqrstuvwxyz"  # subpart ids: AE1a, AE1b, ...
+# latent abilities are normal on the components' 0-100 scale; question
+# difficulties are uniform on the standardized ability scale
+_ABILITY_MEAN = 67.92
+_ABILITY_STDDEV = 10.18
+_DIFFICULTY_LOW = -1.5
+_DIFFICULTY_HIGH = 1.5
 
 
 @dataclass(frozen=True)
@@ -36,10 +42,6 @@ class SyntheticSpec:
     tf_questions: int = 15
     analytical_questions: int = 5
     analytical_subparts: int = 8  # total subpart columns, spread over parents
-    ability_mean: float = 67.92
-    ability_stddev: float = 10.18
-    difficulty_low: float = -1.5
-    difficulty_high: float = 1.5
     discrimination: float = 1.0
     noise: float = 0.0
     seed: int = 0
@@ -54,11 +56,8 @@ class SyntheticSpec:
             raise ValueError("need at least one subpart per analytical question")
         if self.analytical_subparts > len(_PART_LETTERS) * self.analytical_questions:
             raise ValueError("at most 26 subparts per analytical question (ids run a to z)")
-        for name in ("ability_stddev", "noise"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if self.difficulty_high < self.difficulty_low:
-            raise ValueError("empty difficulty range")
+        if self.noise < 0:
+            raise ValueError("noise must be nonnegative")
 
 
 def build_questions(spec: SyntheticSpec) -> tuple[gb.Question, ...]:
@@ -104,12 +103,9 @@ def generate_gradebook(spec: SyntheticSpec) -> gb.Gradebook:
     questions = build_questions(spec)
     m = len(questions)
 
-    abilities = spec.ability_mean + spec.ability_stddev * rng.standard_normal(n)
-    if spec.ability_stddev > 0:
-        z = (abilities - spec.ability_mean) / spec.ability_stddev
-    else:
-        z = np.zeros(n)
-    difficulty = rng.uniform(spec.difficulty_low, spec.difficulty_high, m)
+    abilities = _ABILITY_MEAN + _ABILITY_STDDEV * rng.standard_normal(n)
+    z = (abilities - _ABILITY_MEAN) / _ABILITY_STDDEV
+    difficulty = rng.uniform(_DIFFICULTY_LOW, _DIFFICULTY_HIGH, m)
     p = 1.0 / (1.0 + np.exp(-spec.discrimination * (z[:, None] - difficulty[None, :])))
 
     scores = np.zeros((n, m))

@@ -285,5 +285,5 @@ class TestUnconvergedWarning:
 
     def test_strict_raises_with_the_reason(self):
         rep = self.report([solvers.STOP_GRADIENT, solvers.STOP_STALLED])
-        with pytest.raises(ConvergenceError, match=r"folds \[1\] stalled"):
+        with pytest.raises(ConvergenceError, match=r"^huber \(actual, include_exam\): folds \[1\] stalled"):
             cli._warn_unconverged(rep, strict=True)

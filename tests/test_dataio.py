@@ -156,6 +156,22 @@ class TestLoaderErrors:
         ):
             dataio.load_gradebook(fs, check_consistency=False)
 
+    @pytest.mark.parametrize("points", ["0", "-1", "nan", "inf"])
+    def test_max_points_must_be_finite_and_positive(self, tmp_path, points):
+        fs = self.fileset(tmp_path, questions=f"id,kind,max_points,parent\nQ1,mc,{points},\n")
+        with pytest.raises(
+            DataError, match=r"q\.csv: row 2, column 'max_points': .* is not finite and positive"
+        ):
+            dataio.load_gradebook(fs, check_consistency=False)
+
+    @pytest.mark.parametrize("row", ["Q1,mc,100,A1", "Q1,sub,100,"])
+    def test_question_errors_name_the_file_and_row(self, tmp_path, row):
+        fs = self.fileset(tmp_path, questions=f"id,kind,max_points,parent\n{row}\n")
+        with pytest.raises(
+            DataError, match=r"q\.csv: row 2: question Q1: parent is required exactly for"
+        ):
+            dataio.load_gradebook(fs, check_consistency=False)
+
     def test_repeated_question_column_in_scores(self, tmp_path):
         # two students, so a silently dropped second Q1 column would still load
         fs = self.fileset(

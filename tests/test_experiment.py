@@ -501,6 +501,17 @@ class TestEvaluate:
                            match=r"^flaky \(normalized, include_exam\): fold 0: boom$"):
             experiment.evaluate(tall_linear_book(), "final", approaches=("flaky",))
 
+    def test_a_nan_gradient_norm_counts_as_far_from_stationary(self, monkeypatch):
+        def nan_gradient(s, a, cfg):
+            return solvers.WeightSolution(
+                question_weights=np.zeros(s.shape[1]), intercept=0.0, solver_id="nan-gradient",
+                converged=False, gradient_norm=np.nan,
+            )
+
+        monkeypatch.setitem(solvers.FITTERS, "nan-gradient", nan_gradient)
+        with pytest.raises(ConvergenceError, match="far from stationarity"):
+            experiment.evaluate(tall_linear_book(), "final", approaches=("nan-gradient",))
+
     def test_get_raises_on_missing_cell(self):
         g = tall_linear_book()
         rep = experiment.evaluate(g, "final", approaches=(solvers.UNIFORM,))

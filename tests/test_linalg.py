@@ -19,40 +19,40 @@ def random_matrix(rng, max_dim=12, force_deficient=False):
 
 class TestSvd:
     def test_diagonal(self):
-        res = linalg.svd(np.diag([3.0, 1.0]))
-        np.testing.assert_allclose(res.singular_values, [3.0, 1.0])
-        np.testing.assert_allclose(res.u, np.eye(2))
-        np.testing.assert_allclose(res.v, np.eye(2))
+        u, sigma, v = linalg.svd(np.diag([3.0, 1.0]))
+        np.testing.assert_allclose(sigma, [3.0, 1.0])
+        np.testing.assert_allclose(u, np.eye(2))
+        np.testing.assert_allclose(v, np.eye(2))
 
     def test_zero_matrix(self):
-        res = linalg.svd(np.zeros((2, 2)))
-        np.testing.assert_array_equal(res.singular_values, [0.0, 0.0])
-        np.testing.assert_allclose(res.u.T @ res.u, np.eye(2), atol=1e-12)
+        u, sigma, _ = linalg.svd(np.zeros((2, 2)))
+        np.testing.assert_array_equal(sigma, [0.0, 0.0])
+        np.testing.assert_allclose(u.T @ u, np.eye(2), atol=1e-12)
 
     def test_rank_one_ones(self):
         # eigenvalues of A^T A for [[1,1],[1,1]] are 4 and 0 by hand
-        res = linalg.svd([[1.0, 1.0], [1.0, 1.0]])
-        np.testing.assert_allclose(res.singular_values, [2.0, 0.0], atol=1e-12)
+        _, sigma, _ = linalg.svd([[1.0, 1.0], [1.0, 1.0]])
+        np.testing.assert_allclose(sigma, [2.0, 0.0], atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(25))
     def test_reconstruction_and_orthonormality(self, seed):
         rng = np.random.default_rng(seed)
         a = random_matrix(rng, force_deficient=seed % 2 == 0)
-        res = linalg.svd(a)
-        smax = res.singular_values[0]
-        recon = res.u @ np.diag(res.singular_values) @ res.v.T
+        u, sigma, v = linalg.svd(a)
+        smax = sigma[0]
+        recon = u @ np.diag(sigma) @ v.T
         assert np.max(np.abs(recon - a)) <= 1e-8 * max(smax, 1e-30)
-        r = len(res.singular_values)
-        assert np.max(np.abs(res.u.T @ res.u - np.eye(r))) < 1e-10
-        assert np.max(np.abs(res.v.T @ res.v - np.eye(r))) < 1e-10
-        assert np.all(np.diff(res.singular_values) <= 0)
-        assert np.all(res.singular_values >= 0)
+        r = len(sigma)
+        assert np.max(np.abs(u.T @ u - np.eye(r))) < 1e-10
+        assert np.max(np.abs(v.T @ v - np.eye(r))) < 1e-10
+        assert np.all(np.diff(sigma) <= 0)
+        assert np.all(sigma >= 0)
 
     def test_deterministic(self):
         a = np.random.default_rng(5).standard_normal((7, 9))
-        r1, r2 = linalg.svd(a), linalg.svd(a)
-        np.testing.assert_array_equal(r1.u, r2.u)
-        np.testing.assert_array_equal(r1.singular_values, r2.singular_values)
+        (u1, sigma1, _), (u2, sigma2, _) = linalg.svd(a), linalg.svd(a)
+        np.testing.assert_array_equal(u1, u2)
+        np.testing.assert_array_equal(sigma1, sigma2)
 
     def test_lapack_failure_raises_convergence_error(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -176,6 +176,15 @@ class TestPinv:
             linalg.pinv(np.eye(2), rank_cutoff=0.0)
 
 
+def test_rank_zero_gives_zeros_without_dividing():
+    """A zero matrix keeps no singular value, so nothing is divided by 0."""
+    with np.errstate(all="raise"):
+        p = linalg.pinv(np.zeros((2, 3)))
+        x = linalg.solve_min_norm(np.zeros((3, 2)), np.array([1.0, -2.0, 3.0]))
+    np.testing.assert_array_equal(p, np.zeros((3, 2)))
+    np.testing.assert_array_equal(x, np.zeros(2))
+
+
 # a fold of this design without row 4 has rank 1
 CUTOFF_DESIGN = np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0], [1.0, 0.0]])
 CUTOFF_ENTRY_POINTS = {
@@ -183,6 +192,8 @@ CUTOFF_ENTRY_POINTS = {
     "solve_min_norm": lambda cutoff: linalg.solve_min_norm(CUTOFF_DESIGN, np.arange(4.0), cutoff),
     "loo_min_norm": lambda cutoff: linalg.loo_min_norm(CUTOFF_DESIGN, np.eye(4, 2), cutoff),
     "loo_full_column_rank": lambda cutoff: linalg.loo_full_column_rank(CUTOFF_DESIGN, cutoff),
+    # wide folds are certified without an SVD, and the cutoff is still checked
+    "loo_full_column_rank_wide": lambda cutoff: linalg.loo_full_column_rank(CUTOFF_DESIGN.T, cutoff),
 }
 
 

@@ -299,6 +299,12 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="huber_tolerance"):
             SolverConfig(huber_tolerance=0.0)
 
+    @pytest.mark.parametrize("name", ["huber_epsilon", "huber_regularization", "huber_tolerance"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_floats(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SolverConfig(**{name: value})
+
     @pytest.mark.parametrize("name", ["huber_max_iterations", "nnls_max_iterations"])
     @pytest.mark.parametrize("cap", [0, -1, -2, 2.5, 3.0, True, "5"])
     def test_rejects_non_positive_integer_caps(self, name, cap):

@@ -32,8 +32,6 @@ class TestBuildQuestions:
             synthetic.SyntheticSpec(students=0)
         with pytest.raises(ValueError, match="subpart"):
             synthetic.SyntheticSpec(analytical_questions=3, analytical_subparts=2)
-        with pytest.raises(ValueError, match="difficulty"):
-            synthetic.SyntheticSpec(difficulty_low=1.0, difficulty_high=-1.0)
 
     def test_subparts_per_question_end_at_z(self):
         ids = synthetic.build_questions(
