@@ -76,6 +76,8 @@ def loocv_fit(
     n = len(targets)
     if n < 2:
         raise ValueError("leave-one-out needs at least 2 students")
+    if solver not in solvers.FITTERS:
+        raise ValueError(f"unknown solver {solver!r}; registered: {', '.join(solvers.FITTERS)}")
     fitter = solvers.FITTERS[solver]
     parameters = inspect.signature(fitter).parameters
     columns = None
@@ -86,16 +88,15 @@ def loocv_fit(
         if "start" in parameters:
             warm = linalg.loo_full_column_rank(s)
         columns = [
-            _fold_fits(s, targets[:, t], solver, cfg, t, warm) for t in range(targets.shape[1])
+            _fold_fits(s, targets[:, t], fitter, cfg, t, warm) for t in range(targets.shape[1])
         ]
-    fits = [(folds, _average(folds, solver)) for folds in columns]
+    fits = [(folds, _average(folds)) for folds in columns]
     return fits[0] if a.ndim == 1 else fits
 
 
-def _fold_fits(s, a, solver, cfg, column, warm) -> list[WeightSolution]:
+def _fold_fits(s, a, fitter, cfg, column, warm) -> list[WeightSolution]:
     """Every fold's fit; fold k starts from the full cohort's fit if warm[k]."""
     n = len(a)
-    fitter = solvers.FITTERS[solver]
     start = None
     if warm.any():
         try:
@@ -123,13 +124,12 @@ def _fit_fold(fitter, s, a, cfg, start) -> WeightSolution:
     return fitter(s, a, cfg)
 
 
-def _average(folds: list[WeightSolution], solver: str) -> WeightSolution:
+def _average(folds: list[WeightSolution]) -> WeightSolution:
+    """The folds' mean weights and intercept; which folds did not converge
+    is ApproachRecord.unconverged_folds."""
     return WeightSolution(
         question_weights=np.mean([f.question_weights for f in folds], axis=0),
         intercept=float(np.mean([f.intercept for f in folds])),
-        solver_id=solver,
-        converged=all(f.converged for f in folds),
-        iterations=sum(f.iterations for f in folds),
     )
 
 
@@ -186,10 +186,8 @@ def evaluate(
     Each approach is fit to every (scale, exclusion) target in one
     loocv_fit call, so the minimum-norm solvers factor the design once.
     """
-    if exam not in g.exams:
-        raise gb.DataError(f"unknown exam {exam!r}")
+    points = g.question_points(exam)  # raises DataError for an unknown exam
     s = g.exams[exam]
-    points = g.question_points(exam)
     cells = [(scale, exclusion) for exclusion in exclusions for scale in scales]
     targets = np.column_stack(
         [gb.ability(g, exam, scale, exclusion) for scale, exclusion in cells]

@@ -9,8 +9,10 @@ LAPACK routine, and ``svd`` returns the factors (u, sigma, v) of
 ``a = u @ diag(sigma) @ v.T``: u n-by-k and v p-by-k with orthonormal
 columns, sigma nonincreasing and nonnegative, k = min(n, p).  Every other
 routine factors through it once and keeps the singular values above
-rank_cutoff times the largest; rank_cutoff must be positive and defaults to
-max(rows, cols) * machine epsilon of the systems it solves.
+default_rank_cutoff(rows, cols) = max(rows, cols) * machine epsilon times the
+largest, rows and cols being the shape of the systems it solves: the matrix
+given for pinv and solve_min_norm, its leave-one-out folds for loo_min_norm
+and loo_full_column_rank.  No routine takes another cutoff.
 Intended scale is desk-size problems (up to a few hundred rows/columns).
 """
 
@@ -48,16 +50,6 @@ def default_rank_cutoff(rows: int, cols: int) -> float:
     return max(rows, cols) * np.finfo(float).eps
 
 
-def _rank_cutoff(rank_cutoff: float | None, rows: int, cols: int) -> float:
-    """rank_cutoff, which must be positive, or default_rank_cutoff(rows, cols)
-    when it is None."""
-    if rank_cutoff is None:
-        return default_rank_cutoff(rows, cols)
-    if not rank_cutoff > 0:
-        raise ValueError("rank_cutoff must be positive")
-    return rank_cutoff
-
-
 def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thin SVD (u, sigma, v) of a by LAPACK (``numpy.linalg.svd``).
 
@@ -75,36 +67,37 @@ def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, sigma, vt.T
 
 
-def _truncated_svd(a, rank_cutoff: float | None):
+def _truncated_svd(a, rank_cutoff: float | None = None):
     """(u_r, sigma_r, v_r, dropped): svd(a) kept to the r singular values
     above rank_cutoff times the largest, and the first one dropped (0 when
-    none is).  rank_cutoff is checked, or defaulted for a's shape, by
-    ``_rank_cutoff``."""
+    none is).  rank_cutoff defaults to default_rank_cutoff of a's shape."""
     u, sigma, v = svd(a)
-    rank_cutoff = _rank_cutoff(rank_cutoff, len(u), len(v))
+    if rank_cutoff is None:
+        rank_cutoff = default_rank_cutoff(len(u), len(v))
     r = int(np.sum(sigma > rank_cutoff * sigma[0]))
     dropped = sigma[r] if r < len(sigma) else 0.0
     return u[:, :r], sigma[:r], v[:, :r], dropped
 
 
-def pinv(a, rank_cutoff: float | None = None) -> np.ndarray:
+def pinv(a) -> np.ndarray:
     """Moore-Penrose pseudoinverse via SVD.
 
-    Reciprocals of singular values sigma_k <= rank_cutoff * sigma_max are
-    zeroed; rank_cutoff defaults to max(rows, cols) * machine epsilon.
+    Reciprocals of singular values sigma_k <= default_rank_cutoff(rows,
+    cols) * sigma_max are zeroed.
     """
-    u, sigma, v, _ = _truncated_svd(a, rank_cutoff)
+    u, sigma, v, _ = _truncated_svd(a)
     return (v / sigma) @ u.T
 
 
-def solve_min_norm(a, y, rank_cutoff: float | None = None) -> np.ndarray:
+def solve_min_norm(a, y) -> np.ndarray:
     """Minimum-norm least-squares solution of ``a @ x ~= y``.
 
     Among all least-squares minimizers, returns the one with smallest
-    Euclidean norm (the pseudoinverse solution).
+    Euclidean norm (the pseudoinverse solution), with a's singular values
+    at or below default_rank_cutoff(rows, cols) times the largest dropped.
     """
     y = as_vector(y)
-    u, sigma, v, _ = _truncated_svd(a, rank_cutoff)
+    u, sigma, v, _ = _truncated_svd(a)
     if len(y) != len(u):
         raise ValueError(f"dimension mismatch: matrix has {len(u)} rows, vector has {len(y)}")
     return v @ ((u.T @ y) / sigma)
@@ -140,22 +133,22 @@ def _keeps_rank(sigma, gap, rank_cutoff: float) -> np.ndarray:
     return sigma[-1] * np.sqrt(gap) > rank_cutoff * sigma[0]
 
 
-def loo_full_column_rank(a, rank_cutoff: float | None = None) -> np.ndarray:
+def loo_full_column_rank(a) -> np.ndarray:
     """Per row j, whether a without row j certainly has full column rank.
 
     Certified from one SVD of a by the bound of ``_keeps_rank``: the fold's
-    p-th singular value exceeds rank_cutoff times its largest.  rank_cutoff
-    defaults to the folds' own max(rows - 1, p) * machine epsilon, which is
-    at least the default cutoff of a solve on any subset of a fold's
-    columns, so no such solve of a certified fold truncates its rank.  The
-    test is conservative: a fold near the cutoff may be of full rank and not
-    certified.  When rows - 1 < p no fold is, and no SVD is made.
+    p-th singular value exceeds the folds' own default_rank_cutoff(rows - 1,
+    p) times its largest.  That cutoff is at least the one of a solve on
+    any subset of a fold's columns, so no such solve of a certified fold
+    truncates its rank.  The test is conservative: a fold near the cutoff
+    may be of full rank and not certified.  When rows - 1 < p no fold is,
+    and no SVD is made.
     """
     a = as_matrix(a)
     n, p = a.shape
-    rank_cutoff = _rank_cutoff(rank_cutoff, n - 1, p)
     if n - 1 < p:
         return np.zeros(n, dtype=bool)
+    rank_cutoff = default_rank_cutoff(n - 1, p)
     u, sigma, _, _ = _truncated_svd(a, rank_cutoff)
     if len(sigma) < p:
         return np.zeros(n, dtype=bool)
@@ -170,16 +163,16 @@ def loo_full_column_rank(a, rank_cutoff: float | None = None) -> np.ndarray:
 LOO_RTOL = 1e-11
 
 
-def loo_min_norm(a, ys, rank_cutoff: float | None = None, centered: bool = False):
+def loo_min_norm(a, ys, centered: bool = False):
     """Every leave-one-out minimum-norm solution of ``a @ x ~= ys``, from one SVD.
 
     Fold j drops row j of a and of ys and solves for all k columns of ys.
     With centered=True each fold de-means its rows of a and ys, as for a
     free intercept, and a is factored as ``center`` gives it.  Singular
-    values at or below rank_cutoff times the largest are dropped; it
-    defaults to the folds' own max(rows - 1, p) * machine epsilon, rows
-    being those factored.  Returns an (n, p, k) array whose [j] is fold j's
-    solution, or None when the accuracy guard declines the design.
+    values at or below the folds' own default_rank_cutoff(rows - 1, p)
+    times the largest are dropped, rows being those factored.  Returns an
+    (n, p, k) array whose [j] is fold j's solution, or None when the
+    accuracy guard declines the design.
 
     With P = pinv(a) truncated at rank r (pinv(Q^T a) Q^T when centered),
     X0 = P @ ys and the hat matrix H (which gains 1/n in every entry when
@@ -209,7 +202,7 @@ def loo_min_norm(a, ys, rank_cutoff: float | None = None, centered: bool = False
         raise ValueError("leave-one-out needs at least 2 rows")
     if centered:
         basis, a = center(a)
-    rank_cutoff = _rank_cutoff(rank_cutoff, len(a) - 1, p)
+    rank_cutoff = default_rank_cutoff(len(a) - 1, p)
     u, sigma, v, dropped = _truncated_svd(a, rank_cutoff)
     if len(sigma) == 0:  # every fold's design is zero under the cutoff too
         return np.zeros((n, p, ys.shape[1]))
@@ -219,8 +212,9 @@ def loo_min_norm(a, ys, rank_cutoff: float | None = None, centered: bool = False
     x0 = pinv_t.T @ ys
     resid_map, gap = _leverage_gaps(u, centered)
     resid = resid_map @ ys
-    # an exact 0 comes out of rounding below this unless a is ill-conditioned
-    at_one = gap <= (10 * default_rank_cutoff(n, p)) ** 2
+    # an exact 0 comes out of rounding below this unless a is ill-conditioned;
+    # a bound on rounding, so it does not follow the rank cutoff
+    at_one = gap <= (10 * max(n, p) * np.finfo(float).eps) ** 2
     gap[at_one] = 1.0
     col_sq = np.sum(pinv_t * pinv_t, axis=1)
     proj = (pinv_t @ x0) / np.where(at_one, col_sq, 1.0)[:, None]

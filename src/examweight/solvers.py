@@ -82,18 +82,24 @@ DEFAULT_CONFIG = SolverConfig()
 
 @dataclass(frozen=True, eq=False)
 class WeightSolution:
-    """Fitted per-question weights plus intercept and solver diagnostics."""
+    """Fitted per-question weights plus intercept and solver diagnostics.
+
+    converged is not stored: it derives from stop_reason, and is true for a
+    direct solve (None) and for STOP_GRADIENT.
+    """
 
     question_weights: np.ndarray
     intercept: float
-    solver_id: str
-    converged: bool = True
     iterations: int = 0
     sigma: float | None = None  # huber concomitant scale (target units)
     gradient_norm: float | None = None  # huber final gradient norm
     objective_history: tuple[float, ...] = field(default=(), repr=False)
     # why an iterative fit stopped (STOP_*); None for the direct solvers
     stop_reason: str | None = None
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason in (None, STOP_GRADIENT)
 
 
 def _check_design(s, a) -> tuple[np.ndarray, np.ndarray]:
@@ -124,14 +130,12 @@ def fit_ols_closed_form(
     if leave_one_out:
         s = linalg.as_matrix(s)
         x = linalg.loo_min_norm(np.hstack([s, np.ones((len(s), 1))]), a)
-        return None if x is None else _loo_solutions(x[:, :-1], x[:, -1], OLS_CLOSED_FORM)
+        return None if x is None else _loo_solutions(x[:, :-1], x[:, -1])
     s, a = _check_design(s, a)
     n, m = s.shape
     aug = np.hstack([s, np.ones((n, 1))])
     x = linalg.solve_min_norm(aug, a)
-    return WeightSolution(
-        question_weights=x[:m], intercept=float(x[m]), solver_id=OLS_CLOSED_FORM
-    )
+    return WeightSolution(question_weights=x[:m], intercept=float(x[m]))
 
 
 def fit_linear_intercept(
@@ -156,7 +160,7 @@ def fit_linear_intercept(
         col_means = (s.sum(axis=0) - s) / (len(s) - 1)
         target_means = (targets.sum(axis=0) - targets) / (len(s) - 1)
         intercepts = target_means - np.einsum("jm,jmk->jk", col_means, w)
-        return _loo_solutions(w, intercepts, LINEAR_INTERCEPT)
+        return _loo_solutions(w, intercepts)
     s, a = _check_design(s, a)
     if len(s) > 1:
         basis, centered = linalg.center(s)
@@ -164,35 +168,34 @@ def fit_linear_intercept(
     else:  # one student centers to an empty design
         w = np.zeros(s.shape[1])
     intercept = float(a.mean() - s.mean(axis=0) @ w)
-    return WeightSolution(
-        question_weights=w, intercept=intercept, solver_id=LINEAR_INTERCEPT
-    )
+    return WeightSolution(question_weights=w, intercept=intercept)
 
 
-def _loo_solutions(weights, intercepts, solver_id) -> list[list[WeightSolution]]:
+def _loo_solutions(weights, intercepts) -> list[list[WeightSolution]]:
     """[column][fold] solutions from (n, m, k) weights and (n, k) intercepts."""
     n, _, k = weights.shape
     return [
         [
-            WeightSolution(
-                question_weights=weights[j, :, t],
-                intercept=float(intercepts[j, t]),
-                solver_id=solver_id,
-            )
+            WeightSolution(question_weights=weights[j, :, t], intercept=float(intercepts[j, t]))
             for j in range(n)
         ]
         for t in range(k)
     ]
 
 
-def _huber_objective_and_grad(theta, s, a, eps, alpha, n, m):
-    """Objective sum_i [sigma + H_eps(r_i/sigma) * sigma] + alpha * ||w||^2
-    with sigma = floor + exp(u); theta = (w, c, u).
+def _huber_objective_and_grad(theta, s, a, eps, alpha):
+    """(f, grad, point): the objective sum_i [sigma + H_eps(r_i/sigma) * sigma]
+    + alpha * ||w||^2 with sigma = floor + exp(u), theta = (w, c, u), its
+    gradient, and the point (z, quad, sigma, exp(u)) that _huber_hessian
+    reads: the scaled residuals z = r / sigma and which are in the quadratic
+    regime.
     """
+    n, m = s.shape
     w, c, u = theta[:m], theta[m], theta[m + 1]
     if u > 30.0:  # absurd scale for a normalized target; reject in line search
-        return np.inf, np.zeros(m + 2)
-    sigma = _SIGMA_FLOOR + np.exp(u)
+        return np.inf, np.zeros(m + 2), None
+    exp_u = np.exp(u)
+    sigma = _SIGMA_FLOOR + exp_u
     r = a - c - s @ w
     z = r / sigma
     absz = np.abs(z)
@@ -204,12 +207,13 @@ def _huber_objective_and_grad(theta, s, a, eps, alpha, n, m):
     grad = np.empty(m + 2)
     grad[:m] = -(s.T @ hprime) + 2.0 * alpha * w
     grad[m] = -hprime.sum()
-    grad[m + 1] = (n - np.minimum(z * z, eps * eps).sum()) * np.exp(u)
-    return f, grad
+    grad[m + 1] = (n - np.minimum(z * z, eps * eps).sum()) * exp_u
+    return f, grad, (z, quad, sigma, exp_u)
 
 
-def _huber_hessian(theta, grad, s, a, eps, alpha, m):
-    """PSD Hessian of the objective in theta = (w, c, u).
+def _huber_hessian(point, grad, s, alpha):
+    """PSD Hessian of the objective in theta = (w, c, u) at the point
+    _huber_objective_and_grad returned with grad.
 
     In (w, c, sigma) it is (2/sigma) * sum_quad v_i v_i^T with
     v_i = (x_i, 1, z_i), plus 2*alpha on the w block; rows in the
@@ -217,11 +221,9 @@ def _huber_hessian(theta, grad, s, a, eps, alpha, m):
     coordinate by exp(u) and adds the gradient term to H_uu, clipped at zero
     so the matrix stays positive semidefinite.
     """
-    w, c, u = theta[:m], theta[m], theta[m + 1]
-    sigma = _SIGMA_FLOOR + np.exp(u)
-    z = (a - c - s @ w) / sigma
-    quad = np.abs(z) <= eps
-    v = np.column_stack([s[quad], np.ones(quad.sum()), z[quad] * np.exp(u)])
+    z, quad, sigma, exp_u = point
+    m = s.shape[1]
+    v = np.column_stack([s[quad], np.ones(quad.sum()), z[quad] * exp_u])
     h = (2.0 / sigma) * (v.T @ v)
     h[np.arange(m), np.arange(m)] += 2.0 * alpha
     h[m + 1, m + 1] += max(grad[m + 1], 0.0)
@@ -255,7 +257,7 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
     to rounding, is returned with converged=False and its gradient norm.
     """
     s, a = _check_design(s, a)
-    n, m = s.shape
+    m = s.shape[1]
     eps = cfg.huber_epsilon
 
     scale = float(np.max(np.abs(a)))
@@ -263,7 +265,6 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
         return WeightSolution(
             question_weights=np.zeros(m),
             intercept=0.0,
-            solver_id=HUBER,
             sigma=_SIGMA_FLOOR,
             gradient_norm=0.0,
             objective_history=(0.0,),
@@ -279,7 +280,7 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
     sigma0 = float(np.std(at - theta[m]))
     theta[m + 1] = np.log(max(sigma0, 1e-3))
 
-    f, g = _huber_objective_and_grad(theta, s, at, eps, alpha, n, m)
+    f, g, point = _huber_objective_and_grad(theta, s, at, eps, alpha)
     gnorm = float(np.linalg.norm(g))
     history = [f]
     mu = 0.0
@@ -292,7 +293,7 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
             stop_reason = STOP_ITERATION_CAP
             break
         it += 1
-        h = _huber_hessian(theta, g, s, at, eps, alpha, m)
+        h = _huber_hessian(point, g, s, alpha)
         try:
             d = np.linalg.solve(h + mu * np.eye(m + 2), -g)
         except np.linalg.LinAlgError:
@@ -302,7 +303,7 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
         t = 1.0
         for _ in range(60):
             cand = theta + t * d
-            f_cand, g_cand = _huber_objective_and_grad(cand, s, at, eps, alpha, n, m)
+            f_cand, g_cand, point_cand = _huber_objective_and_grad(cand, s, at, eps, alpha)
             g_cand_norm = float(np.linalg.norm(g_cand))
             if (f_cand < f and f_cand <= f + 1e-4 * t * slope) or (
                 f_cand <= f + 4.0 * np.spacing(f) and g_cand_norm < gnorm
@@ -318,17 +319,14 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
             mu = max(4.0 * mu, mu_floor)
             continue
         mu = mu / 4.0 if t == 1.0 else max(4.0 * mu, mu_floor)
-        theta, f, g, gnorm = cand, f_cand, g_cand, g_cand_norm
+        theta, f, g, gnorm, point = cand, f_cand, g_cand, g_cand_norm, point_cand
         history.append(f)
 
-    w, c, u = theta[:m], theta[m], theta[m + 1]
     return WeightSolution(
-        question_weights=w * scale,
-        intercept=float(c * scale),
-        solver_id=HUBER,
-        converged=stop_reason == STOP_GRADIENT,
+        question_weights=theta[:m] * scale,
+        intercept=float(theta[m] * scale),
         iterations=it,
-        sigma=float((_SIGMA_FLOOR + np.exp(u)) * scale),
+        sigma=float(point[2] * scale),
         gradient_norm=gnorm,
         objective_history=tuple(history),
         stop_reason=stop_reason,
@@ -411,7 +409,6 @@ def fit_nnls(
     return WeightSolution(
         question_weights=x,
         intercept=0.0,
-        solver_id=NNLS,
         iterations=iterations,
     )
 
@@ -421,9 +418,7 @@ def baseline_uniform(n_questions: int) -> WeightSolution:
     if n_questions < 1:
         raise ValueError("need at least one question")
     return WeightSolution(
-        question_weights=np.full(n_questions, 100.0 / n_questions),
-        intercept=0.0,
-        solver_id=UNIFORM,
+        question_weights=np.full(n_questions, 100.0 / n_questions), intercept=0.0
     )
 
 
@@ -432,9 +427,7 @@ def baseline_actual(points) -> WeightSolution:
     points = linalg.as_vector(points)
     if not np.all(points > 0):
         raise ValueError("all question points must be positive")
-    return WeightSolution(
-        question_weights=points.copy(), intercept=0.0, solver_id=ACTUAL
-    )
+    return WeightSolution(question_weights=points.copy(), intercept=0.0)
 
 
 def predict(sol: WeightSolution, s) -> np.ndarray:

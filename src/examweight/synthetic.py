@@ -56,8 +56,10 @@ class SyntheticSpec:
             raise ValueError("need at least one subpart per analytical question")
         if self.analytical_subparts > len(_PART_LETTERS) * self.analytical_questions:
             raise ValueError("at most 26 subparts per analytical question (ids run a to z)")
-        if self.noise < 0:
-            raise ValueError("noise must be nonnegative")
+        if not (self.noise >= 0 and np.isfinite(self.noise)):
+            raise ValueError("noise must be finite and nonnegative")
+        if not np.isfinite(self.discrimination):
+            raise ValueError("discrimination must be finite")
 
 
 def build_questions(spec: SyntheticSpec) -> tuple[gb.Question, ...]:

@@ -31,7 +31,6 @@ class TestExtremeQuestions:
         sol = solvers.WeightSolution(
             question_weights=np.asarray(weights, dtype=float),
             intercept=0.0,
-            solver_id=solvers.LINEAR_INTERCEPT,
         )
         rec = experiment.ApproachRecord(
             approach=solvers.LINEAR_INTERCEPT,

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from examweight import cli, experiment, solvers
+from examweight import cli, experiment, solvers, synthetic
 from examweight.errors import ConvergenceError
 
 GEN_ARGS = ["generate", "--seed", "7", "--analytical", "5", "--subparts", "8"]
@@ -238,6 +238,17 @@ class TestExitCodes:
         assert err == "error: at most 26 subparts per analytical question (ids run a to z)\n"
         assert out == "" and not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--noise", "inf", "noise must be finite and nonnegative"),
+        ("--discrimination", "nan", "discrimination must be finite"),
+    ])
+    def test_non_finite_generate_option_is_1(self, tmp_path, capsys, option, value, message):
+        argv = ["generate", "--seed", "7", option, value, "--out-dir", str(tmp_path)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert err == f"error: {message}\n"
+        assert out == "" and not list(tmp_path.iterdir())
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self, tmp_path):
@@ -255,8 +266,7 @@ class TestUnconvergedWarning:
     def report(reasons):
         folds = tuple(
             solvers.WeightSolution(
-                question_weights=np.zeros(2), intercept=0.0, solver_id=solvers.HUBER,
-                converged=reason == solvers.STOP_GRADIENT, stop_reason=reason,
+                question_weights=np.zeros(2), intercept=0.0, stop_reason=reason,
             )
             for reason in reasons
         )
@@ -282,6 +292,23 @@ class TestUnconvergedWarning:
         assert "folds [1, 4] stalled" in err
         assert "folds [2] hit the iteration cap" in err
         assert err.count("warning:") == 1
+
+    def test_names_every_stalled_fold_of_a_fitter(self, monkeypatch, capsys):
+        # stalled near stationarity: evaluate keeps the folds, the CLI warns
+        def stalled(s, a, cfg):
+            return solvers.WeightSolution(
+                question_weights=np.zeros(s.shape[1]), intercept=0.0,
+                gradient_norm=1e-6, stop_reason=solvers.STOP_STALLED,
+            )
+
+        monkeypatch.setitem(solvers.FITTERS, "stalled", stalled)
+        book = synthetic.generate_gradebook(synthetic.SyntheticSpec(seed=7))
+        rep = experiment.evaluate(book, "final", scales=("actual",), approaches=("stalled",))
+        cli._warn_unconverged(rep, strict=False)
+        assert capsys.readouterr().err == (
+            "warning: stalled (actual, include_exam): folds [0, 1, 2, 3, 4, 5, 6, 7, 8] "
+            "stalled (the line search found no further decrease)\n"
+        )
 
     def test_strict_raises_with_the_reason(self):
         rep = self.report([solvers.STOP_GRADIENT, solvers.STOP_STALLED])

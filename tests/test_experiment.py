@@ -68,6 +68,13 @@ class TestLoocvFit:
         with pytest.raises(ValueError, match="at least 2"):
             experiment.loocv_fit(np.eye(1), [1.0], solvers.OLS_CLOSED_FORM)
 
+    def test_unknown_solver_names_the_registered_ones(self):
+        registered = ", ".join(solvers.FITTERS)
+        with pytest.raises(ValueError, match=rf"^unknown solver 'foo'; registered: {registered}$"):
+            experiment.loocv_fit(np.eye(3), np.ones(3), "foo")
+        with pytest.raises(ValueError, match="unknown solver 'foo'"):
+            experiment.evaluate(tall_linear_book(), "final", approaches=("foo",))
+
     def test_fold_errors_name_the_fold(self):
         s = np.random.default_rng(1).random((6, 5)) + 1.0
         cfg = SolverConfig(nnls_max_iterations=1)
@@ -504,8 +511,8 @@ class TestEvaluate:
     def test_a_nan_gradient_norm_counts_as_far_from_stationary(self, monkeypatch):
         def nan_gradient(s, a, cfg):
             return solvers.WeightSolution(
-                question_weights=np.zeros(s.shape[1]), intercept=0.0, solver_id="nan-gradient",
-                converged=False, gradient_norm=np.nan,
+                question_weights=np.zeros(s.shape[1]), intercept=0.0,
+                gradient_norm=np.nan, stop_reason=solvers.STOP_STALLED,
             )
 
         monkeypatch.setitem(solvers.FITTERS, "nan-gradient", nan_gradient)

@@ -118,13 +118,13 @@ class TestFitHuber:
         s = rng.random((n, m))
         a = rng.random(n)
         theta = rng.standard_normal(m + 2) * 0.5
-        f0, g = _huber_objective_and_grad(theta, s, a, 1.8, 0.3, n, m)
+        f0, g, _ = _huber_objective_and_grad(theta, s, a, 1.8, 0.3)
         step = 1e-7
         for i in range(m + 2):
             d = np.zeros(m + 2)
             d[i] = step
-            fp, _ = _huber_objective_and_grad(theta + d, s, a, 1.8, 0.3, n, m)
-            fm, _ = _huber_objective_and_grad(theta - d, s, a, 1.8, 0.3, n, m)
+            fp = _huber_objective_and_grad(theta + d, s, a, 1.8, 0.3)[0]
+            fm = _huber_objective_and_grad(theta - d, s, a, 1.8, 0.3)[0]
             assert (fp - fm) / (2 * step) == pytest.approx(g[i], rel=1e-4, abs=1e-6)
 
 

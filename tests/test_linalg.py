@@ -73,6 +73,14 @@ class TestSvd:
 
 
 @pytest.fixture
+def cutoff(monkeypatch):
+    """Sets the relative rank cutoff of every linalg routine to a value."""
+    return lambda value: monkeypatch.setattr(
+        linalg, "default_rank_cutoff", lambda rows, cols: value
+    )
+
+
+@pytest.fixture
 def calls(monkeypatch):
     seen = []
     original = linalg.svd
@@ -171,10 +179,6 @@ class TestPinv:
         assert np.max(np.abs((a @ p).T - a @ p)) < tol
         assert np.max(np.abs((p @ a).T - p @ a)) < tol
 
-    def test_rejects_nonpositive_cutoff(self):
-        with pytest.raises(ValueError, match="rank_cutoff"):
-            linalg.pinv(np.eye(2), rank_cutoff=0.0)
-
 
 def test_rank_zero_gives_zeros_without_dividing():
     """A zero matrix keeps no singular value, so nothing is divided by 0."""
@@ -183,25 +187,6 @@ def test_rank_zero_gives_zeros_without_dividing():
         x = linalg.solve_min_norm(np.zeros((3, 2)), np.array([1.0, -2.0, 3.0]))
     np.testing.assert_array_equal(p, np.zeros((3, 2)))
     np.testing.assert_array_equal(x, np.zeros(2))
-
-
-# a fold of this design without row 4 has rank 1
-CUTOFF_DESIGN = np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0], [1.0, 0.0]])
-CUTOFF_ENTRY_POINTS = {
-    "pinv": lambda cutoff: linalg.pinv(CUTOFF_DESIGN, cutoff),
-    "solve_min_norm": lambda cutoff: linalg.solve_min_norm(CUTOFF_DESIGN, np.arange(4.0), cutoff),
-    "loo_min_norm": lambda cutoff: linalg.loo_min_norm(CUTOFF_DESIGN, np.eye(4, 2), cutoff),
-    "loo_full_column_rank": lambda cutoff: linalg.loo_full_column_rank(CUTOFF_DESIGN, cutoff),
-    # wide folds are certified without an SVD, and the cutoff is still checked
-    "loo_full_column_rank_wide": lambda cutoff: linalg.loo_full_column_rank(CUTOFF_DESIGN.T, cutoff),
-}
-
-
-@pytest.mark.parametrize("cutoff", [0.0, -1.0])
-@pytest.mark.parametrize("entry", list(CUTOFF_ENTRY_POINTS))
-def test_every_entry_point_rejects_a_nonpositive_cutoff(entry, cutoff):
-    with pytest.raises(ValueError, match="rank_cutoff must be positive"):
-        CUTOFF_ENTRY_POINTS[entry](cutoff)
 
 
 class TestSolveMinNorm:
@@ -311,10 +296,19 @@ class TestLooFullColumnRank:
         a = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 2.0], [0.0, 3.0]])
         assert linalg.loo_full_column_rank(a).tolist() == [False, True, True, True]
 
-    def test_cutoff_decides(self):
+    def test_cutoff_decides(self, cutoff):
         a = np.array([[1.0, 0.0], [0.0, 1e-3], [1.0, 1e-3], [2.0, 0.0]])
         assert linalg.loo_full_column_rank(a).all()
-        assert not linalg.loo_full_column_rank(a, rank_cutoff=1e-2).any()
+        cutoff(1e-2)
+        assert not linalg.loo_full_column_rank(a).any()
+
+    def test_fold_the_cutoff_would_cut_is_not_certified(self, cutoff):
+        # of full rank under the cutoff 0.1, but without row 1 the second
+        # singular value is 0.05 of the first (as in TestLooMinNorm)
+        a = np.array([[1.0, 0.0], [0.0, 0.2], [0.0, 0.05]])
+        assert linalg.loo_full_column_rank(a).tolist() == [False, True, True]
+        cutoff(0.1)
+        assert linalg.loo_full_column_rank(a).tolist() == [False, False, True]
 
     def test_zero_design_is_not_certified(self):
         assert not linalg.loo_full_column_rank(np.zeros((4, 2))).any()
@@ -368,19 +362,21 @@ class TestLooMinNorm:
         x = linalg.loo_min_norm(a, np.array([[1.0], [2.0], [6.0]]), centered=True)
         np.testing.assert_array_equal(x, 0.0)
 
-    def test_cutoff_decides_rank(self):
+    def test_cutoff_decides_rank(self, cutoff):
         a = np.array([[1.0, 0.0, 0.0], [0.0, 1e-3, 0.0]])
         ys = np.array([[1.0], [1e-3]])
         assert linalg.loo_min_norm(a, ys) is not None
-        assert linalg.loo_min_norm(a, ys, rank_cutoff=1e-2) is None
+        cutoff(1e-2)
+        assert linalg.loo_min_norm(a, ys) is None
 
-    def test_rank_a_fold_would_cut_is_declined(self):
+    def test_rank_a_fold_would_cut_is_declined(self, cutoff):
         # both singular values clear the cutoff 0.1, but without row 1 the
         # second is 0.05 of the first, which a per-fold solve drops
         a = np.array([[1.0, 0.0], [0.0, 0.2], [0.0, 0.05]])
         ys = np.array([[1.0], [2.0], [3.0]])
         assert linalg.loo_min_norm(a, ys) is not None
-        assert linalg.loo_min_norm(a, ys, rank_cutoff=0.1) is None
+        cutoff(0.1)
+        assert linalg.loo_min_norm(a, ys) is None
 
     def test_rank_a_fold_would_keep_is_declined(self):
         # the third singular value, 3e-13, is under the cutoff relative to
@@ -391,14 +387,15 @@ class TestLooMinNorm:
         assert np.linalg.norm(fold_solution(a, ys[:, 0], 0, False)) > 1e12
         assert linalg.loo_min_norm(a, ys) is None
 
-    def test_cutoff_that_drops_a_material_direction_is_declined(self):
+    def test_cutoff_that_drops_a_material_direction_is_declined(self, cutoff):
         # the cutoff drops a singular value 1e-3 of the largest; the folds
         # drop theirs too, but each fold's leading direction turns, so the
         # shared solution would miss the per-fold one by 5e-4
         a = np.array([[1.0, 1e-3], [1.0, -1e-3], [1.0, 2e-3], [1.0, 0.0]])
         ys = np.array([[1.0], [2.0], [3.0], [5.0]])
         assert linalg.loo_min_norm(a, ys) is not None
-        assert linalg.loo_min_norm(a, ys, rank_cutoff=1e-2) is None
+        cutoff(1e-2)
+        assert linalg.loo_min_norm(a, ys) is None
 
     def test_residual_error_is_estimated(self):
         # near-collinear columns and targets far from the column space: the

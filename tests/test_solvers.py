@@ -133,7 +133,7 @@ class TestNnls:
         if warm:  # random weights, about half of them zero
             start = solvers.WeightSolution(
                 question_weights=rng.random(p) * (rng.random(p) < 0.5),
-                intercept=0.0, solver_id=solvers.NNLS,
+                intercept=0.0,
             )
         sol = solvers.fit_nnls(s, a, start=start)
         x = sol.question_weights
@@ -163,7 +163,7 @@ class TestNnls:
         # weight; dropping it gives the answer, in two solves
         s = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
         a = s @ np.array([1.0, 2.0, -0.5])
-        start = solvers.WeightSolution(np.ones(3), 0.0, solvers.NNLS)
+        start = solvers.WeightSolution(np.ones(3), 0.0)
         warm = solvers.fit_nnls(s, a, start=start)
         cold = solvers.fit_nnls(s, a)
         np.testing.assert_allclose(warm.question_weights, cold.question_weights, atol=1e-12)
@@ -173,19 +173,19 @@ class TestNnls:
         rng = np.random.default_rng(4)
         s, a = rng.random((8, 4)), rng.random(8)
         cold = solvers.fit_nnls(s, a)
-        warm = solvers.fit_nnls(s, a, start=solvers.WeightSolution(np.zeros(4), 0.0, solvers.NNLS))
+        warm = solvers.fit_nnls(s, a, start=solvers.WeightSolution(np.zeros(4), 0.0))
         np.testing.assert_array_equal(warm.question_weights, cold.question_weights)
         assert warm.iterations == cold.iterations
 
     def test_start_solves_count_toward_the_cap(self):
         s = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
         a = s @ np.array([1.0, 2.0, -0.5])
-        start = solvers.WeightSolution(np.ones(3), 0.0, solvers.NNLS)
+        start = solvers.WeightSolution(np.ones(3), 0.0)
         with pytest.raises(ConvergenceError, match="iteration cap of 1"):
             solvers.fit_nnls(s, a, SolverConfig(nnls_max_iterations=1), start=start)
 
     def test_start_of_another_length_is_rejected(self):
-        start = solvers.WeightSolution(np.ones(2), 0.0, solvers.NNLS)
+        start = solvers.WeightSolution(np.ones(2), 0.0)
         with pytest.raises(ValueError, match="start weights"):
             solvers.fit_nnls(np.eye(3), np.ones(3), start=start)
 
@@ -221,9 +221,20 @@ class TestBaselines:
             solvers.baseline_uniform(0)
 
 
+@pytest.mark.parametrize("stop_reason, converged", [
+    (None, True),
+    (solvers.STOP_GRADIENT, True),
+    (solvers.STOP_STALLED, False),
+    (solvers.STOP_ITERATION_CAP, False),
+])
+def test_converged_follows_stop_reason(stop_reason, converged):
+    sol = solvers.WeightSolution(np.zeros(2), 0.0, stop_reason=stop_reason)
+    assert sol.converged is converged
+
+
 class TestPredict:
     def test_intercept_only(self):
-        sol = solvers.WeightSolution(np.zeros(3), 5.0, "uniform")
+        sol = solvers.WeightSolution(np.zeros(3), 5.0)
         np.testing.assert_allclose(solvers.predict(sol, np.random.rand(4, 3)), 5.0)
 
     def test_uniform_row(self):
@@ -258,7 +269,7 @@ class TestCrossSolverInvariants:
         for fit in (solvers.fit_ols_closed_form, solvers.fit_linear_intercept,
                     solvers.fit_huber, solvers.fit_nnls):
             sol = fit(s, a)
-            assert abs(sol.question_weights[3]) < 1e-8, sol.solver_id
+            assert abs(sol.question_weights[3]) < 1e-8, fit.__name__
 
     def test_duplicate_columns_get_equal_weight(self):
         rng = np.random.default_rng(13)
@@ -270,7 +281,7 @@ class TestCrossSolverInvariants:
                          (solvers.fit_linear_intercept, 1e-8),
                          (solvers.fit_huber, 1e-6)):
             sol = fit(s, a, tight)
-            assert abs(sol.question_weights[1] - sol.question_weights[4]) < tol, sol.solver_id
+            assert abs(sol.question_weights[1] - sol.question_weights[4]) < tol, fit.__name__
 
     def test_target_scaling_equivariance(self, tall_design):
         s, a = tall_design
@@ -283,11 +294,7 @@ class TestCrossSolverInvariants:
             v1 = np.append(s1.question_weights, s1.intercept)
             v2 = np.append(s2.question_weights, s2.intercept)
             err = np.max(np.abs(v2 - c * v1)) / max(1.0, np.max(np.abs(c * v1)))
-            assert err < 1e-8, sol_id_msg(s1, err)
-
-
-def sol_id_msg(sol, err):
-    return f"{sol.solver_id}: relative error {err}"
+            assert err < 1e-8, f"{fit.__name__}: relative error {err}"
 
 
 class TestSolverConfig:

@@ -33,6 +33,18 @@ class TestBuildQuestions:
         with pytest.raises(ValueError, match="subpart"):
             synthetic.SyntheticSpec(analytical_questions=3, analytical_subparts=2)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("noise", np.inf, "noise must be finite and nonnegative"),
+        ("noise", np.nan, "noise must be finite and nonnegative"),
+        ("noise", -1.0, "noise must be finite and nonnegative"),
+        ("discrimination", np.inf, "discrimination must be finite"),
+        ("discrimination", -np.inf, "discrimination must be finite"),
+        ("discrimination", np.nan, "discrimination must be finite"),
+    ])
+    def test_noise_and_discrimination_must_be_finite(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            synthetic.SyntheticSpec(**{field: value})
+
     def test_subparts_per_question_end_at_z(self):
         ids = synthetic.build_questions(
             synthetic.SyntheticSpec(analytical_questions=2, analytical_subparts=52)
