@@ -35,7 +35,8 @@ STOP_ITERATION_CAP = "iteration_cap"
 # (max|a| = 1).  When the scale collapses (near-interpolable data, or more
 # than ~half the residuals in the absolute-loss regime) the objective tends
 # to an unsmoothed L1 limit; the floor fixes the residual smoothing width so
-# the problem stays well-posed and twice differentiable.
+# the problem stays well-posed and twice differentiable.  fit_huber treats
+# it as a bound that sigma can sit on, not a limit approached along u.
 _SIGMA_FLOOR = 1e-4
 
 # fit_nnls's optimality and feasibility tolerance: a coordinate of
@@ -85,12 +86,14 @@ class WeightSolution:
     """Fitted per-question weights plus intercept and solver diagnostics.
 
     converged is not stored: it derives from stop_reason, and is true for a
-    direct solve (None) and for STOP_GRADIENT.
+    direct solve (None) and for STOP_GRADIENT.  iterations and evaluations
+    are 0 for a direct solve.
     """
 
     question_weights: np.ndarray
     intercept: float
     iterations: int = 0
+    evaluations: int = 0  # huber objective evaluations
     sigma: float | None = None  # huber concomitant scale (target units)
     gradient_norm: float | None = None  # huber final gradient norm
     objective_history: tuple[float, ...] = field(default=(), repr=False)
@@ -188,7 +191,7 @@ def _huber_objective_and_grad(theta, s, a, eps, alpha):
     + alpha * ||w||^2 with sigma = floor + exp(u), theta = (w, c, u), its
     gradient, and the point (z, quad, sigma, exp(u)) that _huber_hessian
     reads: the scaled residuals z = r / sigma and which are in the quadratic
-    regime.
+    regime.  u = -inf puts sigma exactly on the floor, with a zero u gradient.
     """
     n, m = s.shape
     w, c, u = theta[:m], theta[m], theta[m + 1]
@@ -209,6 +212,20 @@ def _huber_objective_and_grad(theta, s, a, eps, alpha):
     grad[m] = -hprime.sum()
     grad[m + 1] = (n - np.minimum(z * z, eps * eps).sum()) * exp_u
     return f, grad, (z, quad, sigma, exp_u)
+
+
+def _scale_minimizer(z, eps):
+    """The sigma, in units of the scale that gave z, that minimizes f with
+    (w, c) held: the root of n - sum_i min(z_i^2 / sigma^2, eps^2), found
+    among the counts of rows in the absolute-loss regime."""
+    q = np.sort(z * z)[::-1]
+    n = len(q)
+    room = n - eps * eps * np.arange(n)  # the rows after the first L are quadratic
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s2 = np.cumsum(q[::-1])[::-1] / room
+    bound = eps * eps * s2
+    fits = (room > 0) & (q <= bound) & (np.concatenate([[np.inf], q[:-1]]) > bound)
+    return float(np.sqrt(s2[np.argmax(fits)]))
 
 
 def _huber_hessian(point, grad, s, alpha):
@@ -242,10 +259,28 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
     scale-equivariant; the convergence test is on the normalized objective's
     gradient norm.
 
+    sigma >= floor * max|a| is a bound (Bertsekas, "Projected Newton methods
+    for optimization problems with simple constraints", 1982).  f is convex
+    in sigma with (w, c) held, so before each step the fit tests the slope
+    df/dsigma = n - sum_i min(z_i^2, eps^2) at the floor.  When sigma is
+    falling, that slope is nonnegative and the rows in the quadratic regime
+    stay the same there, sigma moves exactly onto the floor (u = -inf), mu
+    resets to 0, and the Newton steps solve for (w, c) alone, whose
+    quadratic model is then exact while no row changes regime.  The gradient
+    on the floor is that of (w, c), so a fit stops there only at a KKT
+    point: a small gradient and a nonnegative slope.  When (w, c) is
+    stationary but the slope is negative, sigma moves up to its minimizer
+    with (w, c) held, the root of that slope, and the full Newton iteration
+    resumes.  A fit that never moves onto the floor takes exactly the steps
+    it took without the bound.
+
     A step is accepted on an Armijo strict decrease, or when the objective
     stays within its rounding error and the gradient norm falls, so the
-    recorded objective values are nonincreasing up to rounding.  The fit
-    reports why it stopped in stop_reason:
+    recorded objective values are nonincreasing up to rounding.  On the
+    floor f is about n * floor, and its rounding error is that of the
+    residuals it sums, far above f's own spacing; the error bound used there
+    is eps * sum_i |dH/dz_i| * (|a_i| + |c| + |x_i| . |w|).  The fit reports
+    why it stopped in stop_reason:
 
     * "gradient": the gradient norm fell below huber_tolerance (converged);
     * "stalled": 60 step halvings found no acceptable point, and the step
@@ -255,9 +290,11 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
 
     Neither of the last two is fatal: the last accepted iterate, the best up
     to rounding, is returned with converged=False and its gradient norm.
+    evaluations counts every objective evaluation, line-search trials and
+    moves onto or off the floor included.
     """
     s, a = _check_design(s, a)
-    m = s.shape[1]
+    n, m = s.shape
     eps = cfg.huber_epsilon
 
     scale = float(np.max(np.abs(a)))
@@ -281,11 +318,40 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
     theta[m + 1] = np.log(max(sigma0, 1e-3))
 
     f, g, point = _huber_objective_and_grad(theta, s, at, eps, alpha)
+    evaluations = 1
     gnorm = float(np.linalg.norm(g))
     history = [f]
     mu = 0.0
     it = 0
+    at_floor = False
     while True:
+        # f is convex in sigma with (w, c) held: sigma moves onto the floor
+        # when its minimizer lies there, and back off when it does not.
+        u = None
+        if at_floor:
+            if gnorm < cfg.huber_tolerance:
+                # (w, c) is optimal on the floor; KKT also needs sigma's
+                # minimizer on it
+                above = _scale_minimizer(point[0], eps) - 1.0
+                if above > 0.0:
+                    u = np.log(_SIGMA_FLOOR * above)
+        elif g[m + 1] > 0.0:
+            z, quad, sigma, _ = point
+            z_floor = z * (sigma / _SIGMA_FLOOR)
+            # a nonnegative slope df/dsigma on the floor puts the minimizer
+            # there; the quadratic regime must keep the same rows
+            if n >= np.minimum(z_floor * z_floor, eps * eps).sum() and np.array_equal(
+                np.abs(z_floor) <= eps, quad
+            ):
+                u = -np.inf
+        if u is not None:  # f falls, so the move needs no acceptance test
+            theta[m + 1] = u
+            f, g, point = _huber_objective_and_grad(theta, s, at, eps, alpha)
+            evaluations += 1
+            gnorm = float(np.linalg.norm(g))
+            history.append(f)
+            mu = 0.0
+            at_floor = u == -np.inf
         if gnorm < cfg.huber_tolerance:
             stop_reason = STOP_GRADIENT
             break
@@ -293,20 +359,30 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
             stop_reason = STOP_ITERATION_CAP
             break
         it += 1
-        h = _huber_hessian(point, g, s, alpha)
+        # on the floor the Newton system is the (w, c) block alone
+        k = m + 1 if at_floor else m + 2
+        h = _huber_hessian(point, g, s, alpha)[:k, :k]
+        d = np.zeros(m + 2)
         try:
-            d = np.linalg.solve(h + mu * np.eye(m + 2), -g)
+            d[:k] = np.linalg.solve(h + mu * np.eye(k), -g[:k])
         except np.linalg.LinAlgError:
-            d = -g
+            d[:k] = -g[:k]
         slope = g @ d
         mu_floor = 1e-10 * h.diagonal().max()
+        noise = 4.0 * np.spacing(f)  # f's rounding error
+        if at_floor:
+            z, quad = point[0], point[1]
+            r_size = np.abs(at) + abs(theta[m]) + np.abs(s) @ np.abs(theta[:m])
+            dh = np.where(quad, 2.0 * np.abs(z), 2.0 * eps)
+            noise = max(noise, np.finfo(float).eps * (dh @ r_size))
         t = 1.0
         for _ in range(60):
             cand = theta + t * d
             f_cand, g_cand, point_cand = _huber_objective_and_grad(cand, s, at, eps, alpha)
+            evaluations += 1
             g_cand_norm = float(np.linalg.norm(g_cand))
             if (f_cand < f and f_cand <= f + 1e-4 * t * slope) or (
-                f_cand <= f + 4.0 * np.spacing(f) and g_cand_norm < gnorm
+                f_cand <= f + noise and g_cand_norm < gnorm
             ):
                 break
             t *= 0.5
@@ -326,6 +402,7 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
         question_weights=theta[:m] * scale,
         intercept=float(theta[m] * scale),
         iterations=it,
+        evaluations=evaluations,
         sigma=float(point[2] * scale),
         gradient_norm=gnorm,
         objective_history=tuple(history),

@@ -142,10 +142,47 @@ class TestStopReason:
         assert all(f.stop_reason == solvers.STOP_GRADIENT for f in folds)
         assert all(f.converged for f in folds)
 
+    def test_seed7_folds_stop_on_the_scale_floor(self, monkeypatch):
+        # the floor is a bound: sigma lands on it exactly, and the fit then
+        # stops after one Newton step instead of a ~20-step tail toward it
+        fits = []
+
+        def recording(s, a, cfg):
+            fits.append((a, solvers.fit_huber(s, a, cfg)))
+            return fits[-1][1]
+
+        monkeypatch.setitem(solvers.FITTERS, solvers.HUBER, recording)
+        seed7_huber_folds(solvers.DEFAULT_CONFIG)
+        assert len(fits) == 18
+        for a, sol in fits:
+            assert sol.sigma == _SIGMA_FLOOR * np.max(np.abs(a))
+            assert sol.stop_reason == solvers.STOP_GRADIENT
+        # 586 when sigma approached the floor along u alone
+        assert sum(sol.iterations for _, sol in fits) <= 300
+
+    def test_seed7_evaluations_fall_and_repeat(self):
+        totals = []
+        for _ in range(2):
+            folds = seed7_huber_folds(solvers.DEFAULT_CONFIG)
+            assert all(f.evaluations > f.iterations for f in folds)
+            totals.append(sum(f.evaluations for f in folds))
+        assert totals[0] == totals[1]
+        assert totals[0] < 1580  # when sigma approached the floor along u alone
+
     def test_seed7_folds_converge_without_ridge(self):
         # n < m and alpha = 0: the w block of the Hessian is singular
         folds = seed7_huber_folds(SolverConfig(huber_regularization=0.0))
         assert all(f.stop_reason == solvers.STOP_GRADIENT for f in folds)
+
+    def test_near_exact_fits_without_ridge_stop_on_gradient(self):
+        # the last steps on the floor lower f by less than its rounding
+        for seed in range(64):
+            rng = np.random.default_rng(seed)
+            s = rng.random((20, 15))
+            noise = 10.0 ** rng.uniform(-7, -3) * rng.standard_normal(20)
+            a = s @ rng.standard_normal(15) + 1.0 + noise
+            sol = solvers.fit_huber(s, a, SolverConfig(huber_regularization=0.0))
+            assert sol.stop_reason == solvers.STOP_GRADIENT, seed
 
     def test_unreachable_tolerance_stalls_early(self):
         rng = np.random.default_rng(9)
@@ -175,7 +212,9 @@ class TestStopReason:
         a = s @ np.array([1.0, 2.0, 3.0])
         for fit in (solvers.fit_ols_closed_form, solvers.fit_linear_intercept,
                     solvers.fit_nnls):
-            assert fit(s, a).stop_reason is None
+            sol = fit(s, a)
+            assert sol.stop_reason is None
+            assert sol.evaluations == 0
 
 
 def lbfgsb_oracle(s, a, eps, alpha):
@@ -211,17 +250,37 @@ def lbfgsb_oracle(s, a, eps, alpha):
     return x[:m], x[m], x[m + 1]
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_weights_match_lbfgsb_oracle(seed):
-    rng = np.random.default_rng(seed)
+def oracle_design(case):
+    """Seeds 0-2: tall designs with one outlier, sigma inside.  "wide": an
+    exactly interpolable design with n < m, sigma on the floor.
+    "above_floor": near-exact rows and one outlier; the fit reaches the
+    floor on its way, but sigma's optimum lies above it."""
+    if case == "wide":
+        rng = np.random.default_rng(0)
+        s = rng.random((6, 10))
+        return s, s @ (rng.random(10) * 4) + 1
+    if case == "above_floor":
+        rng = np.random.default_rng(56)
+        s = rng.random((6, 2))
+        a = s @ rng.standard_normal(2) + 1 + 1e-4 * rng.standard_normal(6)
+        a[0] += 1.0
+        return s, a
+    rng = np.random.default_rng(case)
     n, m = 15, 3
     s = rng.random((n, m))
     a = s @ (rng.random(m) * 40) + 10 + rng.standard_normal(n)
     a[0] += 30.0  # one outlier in the absolute-loss regime
+    return s, a
+
+
+@pytest.mark.parametrize("case", [0, 1, 2, "wide", "above_floor"])
+def test_weights_match_lbfgsb_oracle(case):
+    s, a = oracle_design(case)
     cfg = solvers.DEFAULT_CONFIG
     w_o, c_o, sigma_o = lbfgsb_oracle(s, a, cfg.huber_epsilon, cfg.huber_regularization)
     sol = solvers.fit_huber(s, a, cfg)
     assert sol.stop_reason == solvers.STOP_GRADIENT
+    assert (sol.sigma == _SIGMA_FLOOR * np.max(np.abs(a))) == (case == "wide")
     assert np.max(np.abs(sol.question_weights - w_o)) < 1e-6 * np.max(np.abs(w_o))
     assert sol.intercept == pytest.approx(c_o, rel=1e-6)
     assert sol.sigma == pytest.approx(sigma_o, rel=1e-6)
