@@ -271,16 +271,27 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
     point: a small gradient and a nonnegative slope.  When (w, c) is
     stationary but the slope is negative, sigma moves up to its minimizer
     with (w, c) held, the root of that slope, and the full Newton iteration
-    resumes.  A fit that never moves onto the floor takes exactly the steps
-    it took without the bound.
+    resumes.  A sigma that equals the floor in floating point is on it: its
+    u gradient has vanished with exp(u), so only the floor's KKT test can
+    tell whether sigma should rise.
+
+    Off the floor, each step is bounded in u, as a trust region bounds it
+    (More & Sorensen, "Computing a trust region step", 1983): a Newton step
+    with |d_u| > 1 is scaled by 1/|d_u|, so sigma changes by at most a
+    factor of e per step instead of the line search halving an overshoot
+    from far outside.  The damping of the (w, c) diagonal there is at least
+    1e-10 * max diag H, and u's is mu alone: at alpha = 0 on a wide design
+    the w block is singular, and once mu has decayed to 0 an undamped solve
+    of it fails or returns a useless step.  On the floor the (w, c) solve
+    is damped by mu alone, so its exact Newton steps land on the minimizer.
 
     A step is accepted on an Armijo strict decrease, or when the objective
     stays within its rounding error and the gradient norm falls, so the
-    recorded objective values are nonincreasing up to rounding.  On the
-    floor f is about n * floor, and its rounding error is that of the
-    residuals it sums, far above f's own spacing; the error bound used there
-    is eps * sum_i |dH/dz_i| * (|a_i| + |c| + |x_i| . |w|).  The fit reports
-    why it stopped in stop_reason:
+    recorded objective values are nonincreasing up to rounding.  That error
+    is the one the residuals carry into the sum, far above f's own spacing
+    when sigma is small: eps * sum_i |dH/dz_i| * (|a_i| + |c| + |x_i| . |w|),
+    or 4 ulps of f if that is larger.  The fit reports why it stopped in
+    stop_reason:
 
     * "gradient": the gradient norm fell below huber_tolerance (converged);
     * "stalled": 60 step halvings found no acceptable point, and the step
@@ -324,10 +335,16 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
     mu = 0.0
     it = 0
     at_floor = False
+    abs_s = np.abs(s)
     while True:
         # f is convex in sigma with (w, c) held: sigma moves onto the floor
         # when its minimizer lies there, and back off when it does not.
         u = None
+        if not at_floor and point[2] == _SIGMA_FLOOR:
+            # sigma is the floor in floating point, and the u gradient has
+            # vanished with exp(u): sit on the floor, where KKT is tested
+            theta[m + 1], g[m + 1], at_floor, mu = -np.inf, 0.0, True, 0.0
+            gnorm = float(np.linalg.norm(g))
         if at_floor:
             if gnorm < cfg.huber_tolerance:
                 # (w, c) is optimal on the floor; KKT also needs sigma's
@@ -362,19 +379,23 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
         # on the floor the Newton system is the (w, c) block alone
         k = m + 1 if at_floor else m + 2
         h = _huber_hessian(point, g, s, alpha)[:k, :k]
+        mu_floor = 1e-10 * h.diagonal().max()
+        damping = np.full(k, mu)
+        if not at_floor:  # the (w, c) block may be singular; u keeps mu alone
+            damping[: m + 1] = max(mu, mu_floor)
         d = np.zeros(m + 2)
         try:
-            d[:k] = np.linalg.solve(h + mu * np.eye(k), -g[:k])
+            d[:k] = np.linalg.solve(h + np.diag(damping), -g[:k])
         except np.linalg.LinAlgError:
             d[:k] = -g[:k]
+        if not at_floor and abs(d[m + 1]) > 1.0:
+            d /= abs(d[m + 1])  # sigma changes by at most a factor of e
         slope = g @ d
-        mu_floor = 1e-10 * h.diagonal().max()
-        noise = 4.0 * np.spacing(f)  # f's rounding error
-        if at_floor:
-            z, quad = point[0], point[1]
-            r_size = np.abs(at) + abs(theta[m]) + np.abs(s) @ np.abs(theta[:m])
-            dh = np.where(quad, 2.0 * np.abs(z), 2.0 * eps)
-            noise = max(noise, np.finfo(float).eps * (dh @ r_size))
+        # f's rounding error: that of the residuals it sums, or 4 ulps of f
+        z, quad = point[0], point[1]
+        r_size = np.abs(at) + abs(theta[m]) + abs_s @ np.abs(theta[:m])
+        dh = np.where(quad, 2.0 * np.abs(z), 2.0 * eps)
+        noise = max(4.0 * np.spacing(f), np.finfo(float).eps * (dh @ r_size))
         t = 1.0
         for _ in range(60):
             cand = theta + t * d
