@@ -11,9 +11,11 @@ Usage:
 """
 
 import argparse
+import dataclasses
 from pathlib import Path
 
-from examweight import analysis, dataio, experiment, solvers, synthetic
+from examweight import analysis, dataio, experiment, synthetic
+from examweight import gradebook as gb
 from examweight.cli import SOLVER_ALIASES
 
 
@@ -47,10 +49,10 @@ def main():
 
     print("\nMAE by approach and target scale")
     comparison = experiment.exclusion_comparison(book, spec.exam)
-    header, rows = dataio.mae_table(comparison.include_report)
-    _, excl_rows = dataio.mae_table(comparison.exclude_report)
-    print_table(header, rows + excl_rows)
-    dataio.write_report(comparison.include_report, out_dir / "report.csv")
+    report = comparison.report
+    print_table(*dataio.mae_table(report))
+    include_only = tuple(r for r in report.records if r.exclusion == gb.INCLUDE_EXAM)
+    dataio.write_report(dataclasses.replace(report, records=include_only), out_dir / "report.csv")
 
     print("\nlargest weight shifts when the exam component is excluded")
     for delta in comparison.deltas:
@@ -60,9 +62,7 @@ def main():
         print(f"  {delta.approach:>16}  {'  '.join(moved)}")
 
     solver = SOLVER_ALIASES[args.solver]
-    top, bottom = analysis.extreme_questions(
-        comparison.include_report, solver, k=args.extremes
-    )
+    top, bottom = analysis.extreme_questions(report, solver, k=args.extremes)
     print(f"\nextreme questions under {solver}")
     for label, pairs in (("highest", top), ("lowest", bottom)):
         for q, w in pairs:

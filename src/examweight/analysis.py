@@ -83,12 +83,19 @@ def degenerate_questions(g: gb.Gradebook, exam: str) -> list[QuestionDiagnostic]
     Flags: all_correct / all_zero columns, exact duplicate columns (later
     duplicates point at the first column of the group), and top_only:k for
     k in {1, 2} when exactly the k highest-ability students scored 1 and
-    everyone else 0.
+    everyone else 0.  top_only:k needs k < n and the k-th highest ability
+    strictly above the (k+1)-th: across a tie no k students are the
+    strongest, and the row order would pick them.
     """
     ids = g.question_ids(exam)
     s = g.exams[exam]
     abil = gb.ability(g, exam, gb.ACTUAL_SCALE, gb.INCLUDE_EXAM)
-    ranked = np.argsort(-abil, kind="stable")  # strongest first
+    strongest = np.argsort(-abil, kind="stable")
+    top_only = {}  # k -> the column that only the k strongest answered
+    for k in (1, 2):
+        if k < len(abil) and abil[strongest[k - 1]] > abil[strongest[k]]:
+            top_only[k] = np.zeros(len(abil))
+            top_only[k][strongest[:k]] = 1.0
 
     first_seen: dict[bytes, str] = {}
     diagnostics = []
@@ -100,12 +107,7 @@ def degenerate_questions(g: gb.Gradebook, exam: str) -> list[QuestionDiagnostic]
             flags.append(f"duplicate_of:{first_seen[key]}")
         else:
             first_seen[key] = qid
-        for k in (1, 2):
-            top = set(ranked[:k])
-            correct = set(np.flatnonzero(col == 1.0))
-            if correct == top and np.all(col[sorted(set(range(len(col))) - top)] == 0.0):
-                flags.append(f"top_only:{k}")
+        flags += [f"top_only:{k}" for k, top in top_only.items() if np.array_equal(col, top)]
         if flags:
             diagnostics.append(QuestionDiagnostic(question=qid, flags=tuple(flags)))
     return diagnostics
-

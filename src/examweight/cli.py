@@ -181,8 +181,7 @@ def _cmd_evaluate(args) -> int:
     cfg = _config(args)
     if args.compare_exclusion:
         comparison = experiment.exclusion_comparison(book, args.exam, cfg, _scales(args.scale))
-        _warn_unconverged(comparison.include_report, args.strict)
-        _warn_unconverged(comparison.exclude_report, args.strict)
+        _warn_unconverged(comparison.report, args.strict)
         header = ["approach", "scale", "mae_include", "mae_exclude",
                   "question", "weight_delta"]
         rows = []

@@ -44,15 +44,15 @@ Fit = tuple[list[WeightSolution], WeightSolution]
 
 def loocv_fit(
     s,
-    a,
+    targets,
     solver: str,
     cfg: SolverConfig = solvers.DEFAULT_CONFIG,
-) -> Fit | list[Fit]:
+) -> list[Fit]:
     """n fits, fold k trained on all students except k, then averaged.
 
-    a is a vector of n targets, or an n-by-k matrix with one target per
-    column.  Returns (fold solutions in student order, coordinate-wise mean
-    solution) for a vector, and a list of k such pairs for a matrix.
+    targets is an n-by-k matrix with one target per column.  Returns a list
+    of k pairs (fold solutions in student order, coordinate-wise mean
+    solution), one per column.
 
     An entry of ``solvers.FITTERS`` whose signature takes leave_one_out
     (so a wrapper of the fitter sees the call) is first called once with
@@ -71,8 +71,9 @@ def loocv_fit(
     and the target's column index in its ``column`` attribute.
     """
     s = np.asarray(s, dtype=float)
-    a = np.asarray(a, dtype=float)
-    targets = a[:, None] if a.ndim == 1 else a
+    targets = np.asarray(targets, dtype=float)
+    if targets.ndim != 2:
+        raise ValueError(f"targets must be an n-by-k matrix, got shape {targets.shape}")
     n = len(targets)
     if n < 2:
         raise ValueError("leave-one-out needs at least 2 students")
@@ -90,8 +91,7 @@ def loocv_fit(
         columns = [
             _fold_fits(s, targets[:, t], fitter, cfg, t, warm) for t in range(targets.shape[1])
         ]
-    fits = [(folds, _average(folds)) for folds in columns]
-    return fits[0] if a.ndim == 1 else fits
+    return [(folds, _average(folds)) for folds in columns]
 
 
 def _fold_fits(s, a, fitter, cfg, column, warm) -> list[WeightSolution]:
@@ -245,9 +245,8 @@ class ExclusionDelta:
 
 @dataclass(frozen=True)
 class ExclusionComparison:
-    exam: str
-    include_report: EvaluationReport
-    exclude_report: EvaluationReport
+    # both exclusions' records, the include-exam ones first
+    report: EvaluationReport
     deltas: tuple[ExclusionDelta, ...]
 
 
@@ -259,23 +258,15 @@ def exclusion_comparison(
 ) -> ExclusionComparison:
     """Side-by-side MAE and per-question weight deltas for the two overall
     score computations (exam component included vs excluded)."""
-    both = evaluate(g, exam, cfg, scales, (gb.INCLUDE_EXAM, gb.EXCLUDE_EXAM))
-    inc, exc = (
-        EvaluationReport(
-            exam=exam,
-            question_ids=both.question_ids,
-            records=tuple(r for r in both.records if r.exclusion == exclusion),
-        )
-        for exclusion in (gb.INCLUDE_EXAM, gb.EXCLUDE_EXAM)
-    )
+    report = evaluate(g, exam, cfg, scales, (gb.INCLUDE_EXAM, gb.EXCLUDE_EXAM))
     deltas = []
     for scale in scales:
         for approach in APPROACHES:
-            ri = inc.get(approach, scale, gb.INCLUDE_EXAM)
-            re = exc.get(approach, scale, gb.EXCLUDE_EXAM)
+            ri = report.get(approach, scale, gb.INCLUDE_EXAM)
+            re = report.get(approach, scale, gb.EXCLUDE_EXAM)
             dw = ri.averaged_weights.question_weights - re.averaged_weights.question_weights
             pairs = sorted(
-                zip(inc.question_ids, dw),
+                zip(report.question_ids, dw),
                 key=lambda p: (-abs(p[1]), p[0]),
             )
             deltas.append(
@@ -287,6 +278,4 @@ def exclusion_comparison(
                     weight_deltas=tuple((q, float(d)) for q, d in pairs),
                 )
             )
-    return ExclusionComparison(
-        exam=exam, include_report=inc, exclude_report=exc, deltas=tuple(deltas)
-    )
+    return ExclusionComparison(report=report, deltas=tuple(deltas))

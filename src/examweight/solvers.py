@@ -12,7 +12,7 @@ questions); weights therefore carry units of points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,43 +39,48 @@ STOP_ITERATION_CAP = "iteration_cap"
 # it as a bound that sigma can sit on, not a limit approached along u.
 _SIGMA_FLOOR = 1e-4
 
+# fit_huber stops when the normalized objective's gradient norm falls below
+# this (stop reason "gradient").
+HUBER_TOLERANCE = 1e-8
+
 # fit_nnls's optimality and feasibility tolerance: a coordinate of
 # S^T (a - S w) at or below it stops the active-set loop, and a weight at or
 # below it leaves the passive set.
 NNLS_TOLERANCE = 1e-11
 
 
+def nnls_iteration_cap(n_questions: int) -> int:
+    """fit_nnls's cap on passive-set solves for a design of n_questions
+    columns; more raise ConvergenceError."""
+    return 3 * n_questions
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tuning knobs shared by the fitted solvers.
+    """Tuning knobs of fit_huber, passed to every fitter alike.
 
     huber_epsilon and huber_regularization are the CLI's --epsilon and
-    --alpha.  huber_tolerance, huber_max_iterations and nnls_max_iterations
-    keep their defaults outside tests, which set them to check convergence,
-    the iteration caps and the stop reasons.
+    --alpha.  huber_max_iterations caps fit_huber's Newton steps; the
+    benchmark's tracer reads it to count fits that hit the cap.  The
+    stopping tolerance and the NNLS cap are HUBER_TOLERANCE and
+    nnls_iteration_cap.
     """
 
     huber_epsilon: float = 1.8
     huber_regularization: float = 0.1
-    huber_tolerance: float = 1e-8
     huber_max_iterations: int = 500
-    nnls_max_iterations: int | None = None  # default 3 * n_questions
 
     def __post_init__(self):
         bounds = {
             "huber_epsilon": (self.huber_epsilon > 1.0, "exceed 1"),
             "huber_regularization": (self.huber_regularization >= 0, "nonnegative"),
-            "huber_tolerance": (self.huber_tolerance > 0, "positive"),
         }
         for name, (inside, rule) in bounds.items():
             if not (inside and np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite and {rule}")
-        caps = {"huber_max_iterations": self.huber_max_iterations}
-        if self.nnls_max_iterations is not None:
-            caps["nnls_max_iterations"] = self.nnls_max_iterations
-        for name, cap in caps.items():
-            if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap < 1:
-                raise ValueError(f"{name} must be a positive integer, got {cap!r}")
+        cap = self.huber_max_iterations
+        if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap < 1:
+            raise ValueError(f"huber_max_iterations must be a positive integer, got {cap!r}")
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -96,7 +101,6 @@ class WeightSolution:
     evaluations: int = 0  # huber objective evaluations
     sigma: float | None = None  # huber concomitant scale (target units)
     gradient_norm: float | None = None  # huber final gradient norm
-    objective_history: tuple[float, ...] = field(default=(), repr=False)
     # why an iterative fit stopped (STOP_*); None for the direct solvers
     stop_reason: str | None = None
 
@@ -286,14 +290,14 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
     is damped by mu alone, so its exact Newton steps land on the minimizer.
 
     A step is accepted on an Armijo strict decrease, or when the objective
-    stays within its rounding error and the gradient norm falls, so the
-    recorded objective values are nonincreasing up to rounding.  That error
-    is the one the residuals carry into the sum, far above f's own spacing
-    when sigma is small: eps * sum_i |dH/dz_i| * (|a_i| + |c| + |x_i| . |w|),
-    or 4 ulps of f if that is larger.  The fit reports why it stopped in
+    stays within its rounding error and the gradient norm falls, so f at the
+    accepted iterates is nonincreasing up to rounding.  That error is the
+    one the residuals carry into the sum, far above f's own spacing when
+    sigma is small: eps * sum_i |dH/dz_i| * (|a_i| + |c| + |x_i| . |w|), or
+    4 ulps of f if that is larger.  The fit reports why it stopped in
     stop_reason:
 
-    * "gradient": the gradient norm fell below huber_tolerance (converged);
+    * "gradient": the gradient norm fell below HUBER_TOLERANCE (converged);
     * "stalled": 60 step halvings found no acceptable point, and the step
       was already damped (a failed search with mu below 1e-10 * max diag H
       is retried with mu raised to that floor);
@@ -315,7 +319,6 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
             intercept=0.0,
             sigma=_SIGMA_FLOOR,
             gradient_norm=0.0,
-            objective_history=(0.0,),
             stop_reason=STOP_GRADIENT,
         )
     at = a / scale
@@ -331,7 +334,6 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
     f, g, point = _huber_objective_and_grad(theta, s, at, eps, alpha)
     evaluations = 1
     gnorm = float(np.linalg.norm(g))
-    history = [f]
     mu = 0.0
     it = 0
     at_floor = False
@@ -346,7 +348,7 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
             theta[m + 1], g[m + 1], at_floor, mu = -np.inf, 0.0, True, 0.0
             gnorm = float(np.linalg.norm(g))
         if at_floor:
-            if gnorm < cfg.huber_tolerance:
+            if gnorm < HUBER_TOLERANCE:
                 # (w, c) is optimal on the floor; KKT also needs sigma's
                 # minimizer on it
                 above = _scale_minimizer(point[0], eps) - 1.0
@@ -366,10 +368,9 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
             f, g, point = _huber_objective_and_grad(theta, s, at, eps, alpha)
             evaluations += 1
             gnorm = float(np.linalg.norm(g))
-            history.append(f)
             mu = 0.0
             at_floor = u == -np.inf
-        if gnorm < cfg.huber_tolerance:
+        if gnorm < HUBER_TOLERANCE:
             stop_reason = STOP_GRADIENT
             break
         if it == cfg.huber_max_iterations:
@@ -417,7 +418,6 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
             continue
         mu = mu / 4.0 if t == 1.0 else max(4.0 * mu, mu_floor)
         theta, f, g, gnorm, point = cand, f_cand, g_cand, g_cand_norm, point_cand
-        history.append(f)
 
     return WeightSolution(
         question_weights=theta[:m] * scale,
@@ -426,7 +426,6 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
         evaluations=evaluations,
         sigma=float(point[2] * scale),
         gradient_norm=gnorm,
-        objective_history=tuple(history),
         stop_reason=stop_reason,
     )
 
@@ -452,7 +451,7 @@ def fit_nnls(
     """
     s, a = _check_design(s, a)
     n, m = s.shape
-    max_iter = cfg.nnls_max_iterations or 3 * m
+    max_iter = nnls_iteration_cap(m)
 
     x = np.zeros(m)
     passive = np.zeros(m, dtype=bool)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,17 @@ class TestDegenerateQuestions:
         g = make_book(scores, comps)
         (d,) = analysis.degenerate_questions(g, "final")
         assert "top_only:2" in d.flags
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_tied_abilities_flag_the_same_questions_in_any_row_order(self, order):
+        # students A and B tie at the top (60.25) above C (37.5): no one
+        # student is the strongest, but A and B are the two strongest
+        scores = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
+        abilities = np.array([60.25, 60.25, 37.5])
+        order = list(order)
+        g = make_book(scores[order], {name: abilities[order] for name in gb.COMPONENTS})
+        diags = {d.question: d.flags for d in analysis.degenerate_questions(g, "final")}
+        assert diags == {"Q3": ("top_only:2",)}
 
     def test_duplicate_points_at_first_in_column_order(self):
         scores = np.tile([[1.0, 1.0, 1.0]], (3, 1))

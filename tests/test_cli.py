@@ -73,6 +73,16 @@ class TestEvaluate:
         uniform_col = rows[0].index("uniform")
         assert float(rows[1][uniform_col]) > 1.0
 
+    def test_seed7_mae_table(self, files, capsys):
+        # GEN_ARGS spells out the defaults, so this is `generate --seed 7`
+        code, out, err = run_cli(["evaluate", *gradebook_args(files)], capsys)
+        assert (code, err) == (0, "")
+        assert out == (
+            "overall_score,uniform,actual,linear_intercept,huber,ols_closed_form,nnls\r\n"
+            "final (actual),1.2482,0.0000,0.8214,0.8220,0.3347,2.4819\r\n"
+            "final (normalized),1.2482,0.0000,0.8214,0.8220,0.3347,2.4819\r\n"
+        )
+
     def test_json_output_file(self, files, tmp_path, capsys):
         out_path = tmp_path / "report.json"
         code, _, _ = run_cli(
@@ -309,6 +319,25 @@ class TestUnconvergedWarning:
             "warning: stalled (actual, include_exam): folds [0, 1, 2, 3, 4, 5, 6, 7, 8] "
             "stalled (the line search found no further decrease)\n"
         )
+
+    def test_compare_exclusion_warns_include_exam_first(self, files, monkeypatch, capsys):
+        def stalled(s, a, cfg):
+            return solvers.WeightSolution(
+                question_weights=np.zeros(s.shape[1]), intercept=0.0,
+                gradient_norm=1e-6, stop_reason=solvers.STOP_STALLED,
+            )
+
+        monkeypatch.setitem(solvers.FITTERS, solvers.HUBER, stalled)
+        argv = ["evaluate", *gradebook_args(files), "--compare-exclusion", "--scale", "actual"]
+        code, _, err = run_cli(argv, capsys)
+        folds = "folds [0, 1, 2, 3, 4, 5, 6, 7, 8] stalled (the line search found no further decrease)"
+        assert code == 0
+        assert err == (
+            f"warning: huber (actual, include_exam): {folds}\n"
+            f"warning: huber (actual, exclude_exam): {folds}\n"
+        )
+        code, _, err = run_cli([*argv, "--strict"], capsys)
+        assert (code, err) == (2, f"error: huber (actual, include_exam): {folds}\n")
 
     def test_strict_raises_with_the_reason(self):
         rep = self.report([solvers.STOP_GRADIENT, solvers.STOP_STALLED])

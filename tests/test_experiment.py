@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from examweight import experiment, gradebook as gb, linalg, solvers, synthetic
 from examweight.errors import ConvergenceError
-from examweight.solvers import SolverConfig
 
 
 def tall_linear_book(seed=3, n=12, m=4):
@@ -33,8 +32,8 @@ def tall_linear_book(seed=3, n=12, m=4):
 class TestLoocvFit:
     def test_identical_students_give_identical_folds(self):
         s = np.tile([0.5, 1.0], (5, 1))
-        a = np.full(5, 70.0)
-        folds, avg = experiment.loocv_fit(s, a, solvers.OLS_CLOSED_FORM)
+        a = np.full((5, 1), 70.0)
+        [(folds, avg)] = experiment.loocv_fit(s, a, solvers.OLS_CLOSED_FORM)
         assert len(folds) == 5
         for f in folds:
             np.testing.assert_allclose(f.question_weights, avg.question_weights)
@@ -42,8 +41,8 @@ class TestLoocvFit:
     def test_average_of_two_folds(self):
         # leaving out either row of the identity leaves a single-point fit
         s = np.eye(2)
-        a = np.array([1.0, 1.0])
-        folds, avg = experiment.loocv_fit(s, a, solvers.OLS_CLOSED_FORM)
+        a = np.array([[1.0], [1.0]])
+        [(folds, avg)] = experiment.loocv_fit(s, a, solvers.OLS_CLOSED_FORM)
         # fold 0 sees only e2 -> weight (0, 1) plus min-norm intercept split;
         # the averaged weights must be the plain coordinate mean
         expect = np.mean([f.question_weights for f in folds], axis=0)
@@ -57,7 +56,7 @@ class TestLoocvFit:
         s = rng.random((9, 3))
         w_true = np.array([30.0, 50.0, 20.0])
         a = s @ w_true
-        folds, avg = experiment.loocv_fit(s, a, solvers.OLS_CLOSED_FORM)
+        [(folds, avg)] = experiment.loocv_fit(s, a[:, None], solvers.OLS_CLOSED_FORM)
         for k, f in enumerate(folds):
             keep = np.arange(9) != k
             oracle = np.linalg.pinv(np.column_stack([s[keep], np.ones(8)])) @ a[keep]
@@ -66,20 +65,20 @@ class TestLoocvFit:
 
     def test_needs_two_students(self):
         with pytest.raises(ValueError, match="at least 2"):
-            experiment.loocv_fit(np.eye(1), [1.0], solvers.OLS_CLOSED_FORM)
+            experiment.loocv_fit(np.eye(1), [[1.0]], solvers.OLS_CLOSED_FORM)
 
     def test_unknown_solver_names_the_registered_ones(self):
         registered = ", ".join(solvers.FITTERS)
         with pytest.raises(ValueError, match=rf"^unknown solver 'foo'; registered: {registered}$"):
-            experiment.loocv_fit(np.eye(3), np.ones(3), "foo")
+            experiment.loocv_fit(np.eye(3), np.ones((3, 1)), "foo")
         with pytest.raises(ValueError, match="unknown solver 'foo'"):
             experiment.evaluate(tall_linear_book(), "final", approaches=("foo",))
 
-    def test_fold_errors_name_the_fold(self):
+    def test_fold_errors_name_the_fold(self, monkeypatch):
         s = np.random.default_rng(1).random((6, 5)) + 1.0
-        cfg = SolverConfig(nnls_max_iterations=1)
+        monkeypatch.setattr(solvers, "nnls_iteration_cap", lambda n_questions: 1)
         with pytest.raises(ConvergenceError, match="fold 0"):
-            experiment.loocv_fit(s, np.ones(6), solvers.NNLS, cfg)
+            experiment.loocv_fit(s, np.ones((6, 1)), solvers.NNLS)
 
     def test_foreign_errors_propagate_unchanged(self, monkeypatch):
         class TwoArgError(Exception):
@@ -94,7 +93,7 @@ class TestLoocvFit:
 
         monkeypatch.setitem(solvers.FITTERS, "failing", failing_fitter)
         with pytest.raises(TwoArgError) as info:
-            experiment.loocv_fit(np.eye(3), np.ones(3), "failing")
+            experiment.loocv_fit(np.eye(3), np.ones((3, 1)), "failing")
         assert info.value is raised
         with pytest.raises(TwoArgError) as info:
             experiment.evaluate(
@@ -239,7 +238,7 @@ class TestSharedLoo:
             return original(s, a, cfg)
 
         monkeypatch.setitem(solvers.FITTERS, solvers.OLS_CLOSED_FORM, replacement)
-        experiment.loocv_fit(s, np.arange(5.0), solvers.OLS_CLOSED_FORM)
+        experiment.loocv_fit(s, np.arange(5.0)[:, None], solvers.OLS_CLOSED_FORM)
         assert seen == [4] * 5
 
         # a functools.wraps wrapper reports the fitter's signature, so it is
@@ -253,7 +252,7 @@ class TestSharedLoo:
 
         monkeypatch.setitem(solvers.FITTERS, solvers.OLS_CLOSED_FORM, passing)
         del svd_calls[:]
-        experiment.loocv_fit(s, np.arange(5.0), solvers.OLS_CLOSED_FORM)
+        experiment.loocv_fit(s, np.arange(5.0)[:, None], solvers.OLS_CLOSED_FORM)
         assert keywords == [{"leave_one_out": True}] and svd_calls == [(5, 9)]
 
         # one that cannot take the keyword fails instead of being skipped
@@ -261,16 +260,16 @@ class TestSharedLoo:
                             functools.wraps(original)(replacement))
         del seen[:]
         with pytest.raises(TypeError, match="leave_one_out"):
-            experiment.loocv_fit(s, np.arange(5.0), solvers.OLS_CLOSED_FORM)
+            experiment.loocv_fit(s, np.arange(5.0)[:, None], solvers.OLS_CLOSED_FORM)
         assert seen == []
 
-    def test_vector_target_gives_one_pair(self):
+    def test_vector_target_is_rejected(self):
         s = np.random.default_rng(2).random((5, 8))
         a = np.arange(5.0)
-        folds, avg = experiment.loocv_fit(s, a, solvers.LINEAR_INTERCEPT)
-        [(folds2, avg2)] = experiment.loocv_fit(s, a[:, None], solvers.LINEAR_INTERCEPT)
+        with pytest.raises(ValueError, match=r"^targets must be an n-by-k matrix, got shape \(5,\)$"):
+            experiment.loocv_fit(s, a, solvers.LINEAR_INTERCEPT)
+        [(folds, _)] = experiment.loocv_fit(s, a[:, None], solvers.LINEAR_INTERCEPT)
         assert len(folds) == 5
-        np.testing.assert_array_equal(avg.question_weights, avg2.question_weights)
 
     def test_evaluate_factors_each_min_norm_design_once(self, svd_calls):
         # a wide cohort and a tall one
@@ -375,24 +374,24 @@ class TestWarmNnls:
             return recording(s, a, cfg, **kwargs)
 
         monkeypatch.setitem(solvers.FITTERS, solvers.NNLS, full_fit_fails)
-        folds, _ = experiment.loocv_fit(s, targets[:, 0], solvers.NNLS)
+        [(folds, _)] = experiment.loocv_fit(s, targets[:, :1], solvers.NNLS)
         assert nnls_calls == [(n - 1, {})] * n
         cold = solvers.fit_nnls(s[1:], targets[1:, 0])
         np.testing.assert_array_equal(folds[0].question_weights, cold.question_weights)
 
-    def test_a_fold_whose_start_passes_the_cap_is_fit_cold(self):
+    def test_a_fold_whose_start_passes_the_cap_is_fit_cold(self, monkeypatch):
         # every cold fold takes at most 3 solves; from the start, fold 4 takes 4
         s = np.array([[0.343, -1.163, -0.187], [-0.339, -0.228, 0.597],
                       [-1.279, 0.967, -1.128], [-0.188, 0.887, 0.664],
                       [-0.691, 1.769, 0.366]])
         a = np.array([-2.863, 0.128, -2.493, 1.303, -4.025])
-        cfg = SolverConfig(nnls_max_iterations=3)
+        monkeypatch.setattr(solvers, "nnls_iteration_cap", lambda n_questions: 3)
         assert linalg.loo_full_column_rank(s).all()
         with pytest.raises(ConvergenceError, match="iteration cap"):
-            solvers.fit_nnls(s[:4], a[:4], cfg, start=solvers.fit_nnls(s, a, cfg))
-        folds, _ = experiment.loocv_fit(s, a, solvers.NNLS, cfg)
+            solvers.fit_nnls(s[:4], a[:4], start=solvers.fit_nnls(s, a))
+        [(folds, _)] = experiment.loocv_fit(s, a[:, None], solvers.NNLS)
         for k, got in enumerate(folds):
-            cold = solvers.fit_nnls(np.delete(s, k, axis=0), np.delete(a, k), cfg)
+            cold = solvers.fit_nnls(np.delete(s, k, axis=0), np.delete(a, k))
             np.testing.assert_array_equal(got.question_weights, cold.question_weights)
 
     def test_a_fitter_without_start_is_not_certified(self, monkeypatch, svd_calls):
@@ -484,11 +483,11 @@ class TestEvaluate:
         with pytest.raises(gb.DataError, match="unknown exam"):
             experiment.evaluate(tall_linear_book(), "midterm")
 
-    def test_cell_errors_name_the_cell_and_fold(self):
-        cfg = SolverConfig(nnls_max_iterations=1)
+    def test_cell_errors_name_the_cell_and_fold(self, monkeypatch):
+        monkeypatch.setattr(solvers, "nnls_iteration_cap", lambda n_questions: 1)
         with pytest.raises(ConvergenceError, match=r"nnls \(actual, include_exam\): fold 0"):
             experiment.evaluate(
-                tall_linear_book(), "final", cfg,
+                tall_linear_book(), "final",
                 scales=(gb.ACTUAL_SCALE,), approaches=(solvers.NNLS,),
             )
 
@@ -554,6 +553,16 @@ class TestExclusionComparison:
             for _, d in delta.weight_deltas:
                 assert abs(d) < 1e-9
 
+    def test_one_report_holds_both_exclusions_include_first(self):
+        g = tall_linear_book()
+        cmp = experiment.exclusion_comparison(g, "final", scales=(gb.ACTUAL_SCALE,))
+        n = len(experiment.APPROACHES)
+        assert [r.exclusion for r in cmp.report.records] == (
+            [gb.INCLUDE_EXAM] * n + [gb.EXCLUDE_EXAM] * n
+        )
+        for delta in cmp.deltas:
+            assert delta.mae_include == cmp.report.get(delta.approach, delta.scale).mae
+
     def test_deltas_sorted_by_magnitude(self):
         g = tall_linear_book()
         # perturb one non-exam component so the two targets differ
@@ -565,5 +574,5 @@ class TestExclusionComparison:
             mags = [abs(d) for _, d in delta.weight_deltas]
             assert mags == sorted(mags, reverse=True)
             assert {q for q, _ in delta.weight_deltas} == set(
-                cmp.include_report.question_ids
+                cmp.report.question_ids
             )

@@ -93,13 +93,21 @@ class TestFitHuber:
         assert sol.question_weights[0] == pytest.approx(w_g, abs=0.05)
 
     def test_objective_monotone_descent(self):
+        # the fit capped at k steps returns the iterate after step k
         rng = np.random.default_rng(9)
         s = rng.random((10, 6))
         a = rng.random(10) * 100
-        sol = solvers.fit_huber(s, a)
-        hist = np.array(sol.objective_history)
-        assert len(hist) >= 2
-        assert np.all(np.diff(hist) <= 1e-12)
+        cfg = solvers.DEFAULT_CONFIG
+        steps = solvers.fit_huber(s, a).iterations
+        assert steps >= 2
+        hist = []
+        for cap in range(1, steps + 1):
+            sol = solvers.fit_huber(s, a, SolverConfig(huber_max_iterations=cap))
+            hist.append(concomitant_objective(
+                s, a, sol.question_weights, sol.intercept, sol.sigma,
+                cfg.huber_epsilon, cfg.huber_regularization,
+            ))
+        assert np.all(np.diff(hist) <= 1e-12 * np.abs(hist[:-1]))
 
     def test_iteration_cap_returns_best_iterate(self):
         rng = np.random.default_rng(10)
@@ -215,21 +223,22 @@ class TestStopReason:
             sol = solvers.fit_huber(s, a, SolverConfig(huber_regularization=0.0))
             assert sol.stop_reason == solvers.STOP_GRADIENT, seed
 
-    def test_unreachable_tolerance_stalls_early(self):
+    def test_unreachable_tolerance_stalls_early(self, monkeypatch):
         rng = np.random.default_rng(9)
         s = rng.random((10, 6))
         a = rng.random(10) * 100
-        sol = solvers.fit_huber(s, a, SolverConfig(huber_tolerance=1e-300))
+        monkeypatch.setattr(solvers, "HUBER_TOLERANCE", 1e-300)
+        sol = solvers.fit_huber(s, a)
         assert sol.stop_reason == solvers.STOP_STALLED
         assert not sol.converged
         assert sol.iterations < 50
 
-    def test_degenerate_epsilon_cohorts_never_hit_the_cap(self):
+    def test_degenerate_epsilon_cohorts_never_hit_the_cap(self, monkeypatch):
         # the generator of acceptance criterion 4
         rng = np.random.default_rng(5)
+        monkeypatch.setattr(solvers, "HUBER_TOLERANCE", 1e-11)
         cfg = SolverConfig(
-            huber_epsilon=1e6, huber_regularization=0.0,
-            huber_tolerance=1e-11, huber_max_iterations=4000,
+            huber_epsilon=1e6, huber_regularization=0.0, huber_max_iterations=4000,
         )
         for _ in range(50):
             n = int(rng.integers(8, 20))
