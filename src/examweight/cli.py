@@ -49,10 +49,11 @@ def _add_gradebook_args(p: _Parser) -> None:
 
 
 def _add_solver_args(p: _Parser) -> None:
-    p.add_argument("--epsilon", type=float, default=1.8,
-                   help="Huber loss threshold (default 1.8)")
-    p.add_argument("--alpha", type=float, default=0.1,
-                   help="Huber ridge regularization (default 0.1)")
+    defaults = solvers.DEFAULT_CONFIG
+    p.add_argument("--epsilon", type=float, default=defaults.huber_epsilon,
+                   help=f"Huber loss threshold (default {defaults.huber_epsilon})")
+    p.add_argument("--alpha", type=float, default=defaults.huber_regularization,
+                   help=f"Huber ridge regularization (default {defaults.huber_regularization})")
     p.add_argument("--strict", action="store_true",
                    help="treat solver non-convergence as fatal (exit 2)")
 
@@ -62,7 +63,7 @@ def build_parser() -> _Parser:
                      description="Optimal per-question exam weighting")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    fit = sub.add_parser("fit", parents=[], help="fit question weights (LOOCV averaged)")
+    fit = sub.add_parser("fit", help="fit question weights (LOOCV averaged)")
     _add_gradebook_args(fit)
     _add_solver_args(fit)
     fit.add_argument("--solver", choices=[*SOLVER_ALIASES, "all"], default="all")

@@ -448,10 +448,19 @@ def fit_nnls(
     test on S^T (a - S w) is unchanged.  Where the optimum is unique, as
     when S has full column rank, the start therefore changes the work and
     not the answer; pass a start only there.
+
+    Each passive-set solve is linalg.solve_min_norm on S's passive columns.
+    When S has at least as many rows as columns, the fit forms G = S^T S
+    once and hands each solve its passive block G[P, P]: the solve then
+    takes the corrected seminormal equations, one refinement step on top of
+    G[P, P] x = S_P^T a, and falls back to an SVD when its error estimate
+    passes linalg.LOO_RTOL or the block is singular.  A wider S solves every
+    passive set by SVD.
     """
     s, a = _check_design(s, a)
     n, m = s.shape
     max_iter = nnls_iteration_cap(m)
+    gram = s.T @ s if n >= m else None
 
     x = np.zeros(m)
     passive = np.zeros(m, dtype=bool)
@@ -463,7 +472,8 @@ def fit_nnls(
         if iterations > max_iter:
             raise ConvergenceError(f"NNLS exceeded iteration cap of {max_iter}")
         z = np.zeros(m)
-        z[passive] = linalg.solve_min_norm(s[:, passive], a)
+        block = None if gram is None else gram[passive][:, passive]
+        z[passive] = linalg.solve_min_norm(s[:, passive], a, gram=block)
         return z
 
     if start is not None:

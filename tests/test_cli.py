@@ -173,6 +173,22 @@ class TestAnalyze:
         assert "unknown question" in err
 
 
+class TestSolverOptions:
+    @pytest.mark.parametrize("command", [["fit"], ["evaluate"], ["analyze", "--degenerate"]])
+    def test_defaults_are_the_library_defaults(self, command):
+        book = ["--scores", "s.csv", "--questions", "q.csv", "--components", "c.csv"]
+        args = cli.build_parser().parse_args([*command, *book])
+        assert args.epsilon == solvers.DEFAULT_CONFIG.huber_epsilon
+        assert args.alpha == solvers.DEFAULT_CONFIG.huber_regularization
+
+    def test_help_states_the_library_defaults(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["fit", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"(default {solvers.DEFAULT_CONFIG.huber_epsilon})" in help_text
+        assert f"(default {solvers.DEFAULT_CONFIG.huber_regularization})" in help_text
+
+
 class TestExitCodes:
     def test_usage_error_is_64(self, capsys):
         code, _, _ = run_cli(["evaluate", "--bogus-flag"], capsys)

@@ -357,10 +357,12 @@ class TestWarmNnls:
                 np.testing.assert_array_equal(got.question_weights, cold.question_weights)
 
     def test_svd_budget_on_the_tall_bench_cohort(self, svd_calls):
-        # at the parent every one of 862 passive solves was an SVD
+        # every one of 862 passive solves was once an SVD; the warm start
+        # cut them to 98, and the Gram route to none: the one SVD left is
+        # the full-column-rank certificate
         s, targets = cohort(TALL_40x32)
         experiment.loocv_fit(s, targets, solvers.NNLS)
-        assert len(svd_calls) <= 130
+        assert svd_calls == [s.shape]
 
     def test_a_failed_start_fit_leaves_the_folds_cold(self, monkeypatch, nnls_calls):
         s, targets = cohort(TALL_40x32)
@@ -406,6 +408,44 @@ class TestWarmNnls:
         experiment.loocv_fit(s, targets, solvers.NNLS)
         assert seen == [len(s) - 1] * len(s)
         assert (len(s), s.shape[1]) not in svd_calls
+
+
+EVERY_CELL = [(scale, exclusion) for exclusion in (gb.INCLUDE_EXAM, gb.EXCLUDE_EXAM)
+              for scale in (gb.ACTUAL_SCALE, gb.NORMALIZED_SCALE)]
+
+
+class TestGramNnls:
+    """On a design with at least as many students as questions, NNLS's
+    passive solves come from the Gram matrix; its folds are those of the
+    SVD solves to 1e-10, and a wide design keeps the SVD solves."""
+
+    def test_folds_match_the_svd_path_on_the_tall_60x53_cohort(self, monkeypatch):
+        s, targets = cohort(dict(seed=3, students=60, noise=4.0), EVERY_CELL)
+        fits = experiment.loocv_fit(s, targets, solvers.NNLS)
+        solve = linalg.solve_min_norm
+        monkeypatch.setattr(linalg, "solve_min_norm", lambda a, y, gram=None: solve(a, y))
+        svd_fits = experiment.loocv_fit(s, targets, solvers.NNLS)
+        for (folds, _), (svd_folds, _) in zip(fits, svd_fits):
+            for got, want in zip(folds, svd_folds):
+                w = want.question_weights
+                assert np.linalg.norm(got.question_weights - w) <= 1e-10 * np.linalg.norm(w)
+                np.testing.assert_array_equal(got.question_weights > 0, w > 0)
+                assert got.iterations == want.iterations
+
+    def test_the_seed7_folds_get_no_gram_matrix(self, monkeypatch):
+        # wide (9x53): every passive solve is the SVD solve, as before the
+        # Gram route, so the fold weights are bit for bit the same
+        s, targets = cohort(dict(seed=7), EVERY_CELL)
+        grams = []
+        solve = linalg.solve_min_norm
+
+        def recording(a, y, gram=None):
+            grams.append(gram)
+            return solve(a, y, gram)
+
+        monkeypatch.setattr(linalg, "solve_min_norm", recording)
+        experiment.loocv_fit(s, targets, solvers.NNLS)
+        assert len(grams) > 0 and all(gram is None for gram in grams)
 
 
 class TestEvaluate:

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from examweight import linalg
 from examweight.errors import ConvergenceError
@@ -257,6 +257,111 @@ class TestSolveMinNorm:
         # column rank, and nothing is factored to say so
         certified = linalg.loo_full_column_rank(np.random.default_rng(2).random((9, 53)))
         assert certified.tolist() == [False] * 9 and calls == []
+
+
+def conditioned(rng, rows, cols, cond, kind="plain"):
+    """A rows-by-cols matrix (rows >= cols) with singular values spaced
+    evenly in log from 1 down to 1 / cond, then with one column zeroed
+    (kind "zero") or the last a multiple of the first (kind "repeated")."""
+    u = np.linalg.qr(rng.standard_normal((rows, cols)))[0]
+    v = np.linalg.qr(rng.standard_normal((cols, cols)))[0]
+    a = (u * np.logspace(0.0, -np.log10(cond), cols)) @ v.T
+    if kind == "zero":
+        a[:, rng.integers(cols)] = 0.0
+    elif kind == "repeated" and cols > 1:
+        a[:, -1] = rng.choice([1.0, 3.0, -0.7]) * a[:, 0]
+    return a
+
+
+class TestGramSolve:
+    """solve_min_norm given a's Gram matrix: the corrected seminormal
+    equations, or the SVD solve when their error estimate or a singular
+    Gram matrix declines them."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.floats(0.0, 12.0),
+        st.sampled_from(["plain", "zero", "repeated"]),
+        st.floats(0.0, 3.0),
+        st.floats(0.0, 10.0),
+    )
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_an_accepted_solve_matches_the_svd_solve(
+        self, calls, seed, log_cond, kind, log_scale, noise
+    ):
+        rng = np.random.default_rng(seed)
+        cols = int(rng.integers(1, 33))
+        # square and nearly square designs often: their fitted targets leave
+        # no residual to show the seminormal solve's error
+        rows = cols + int(rng.choice([0, 1, rng.integers(0, 40)]))
+        a = conditioned(rng, rows, cols, 10.0**log_cond, kind)
+        a *= 10.0 ** rng.uniform(-log_scale, log_scale, cols)  # columns on their own scales
+        # a fitted part plus noise, so residuals run from none to most of y
+        y = a @ rng.standard_normal(cols) + noise * rng.standard_normal(rows)
+        calls.clear()
+        x = linalg.solve_min_norm(a, y, gram=a.T @ a)
+        if calls:  # declined: the SVD solve itself
+            return
+        want = linalg.solve_min_norm(a, y)
+        assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
+
+    @given(st.integers(0, 2**32 - 1), st.floats(0.0, 10.0))
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_a_repeated_column_always_falls_back(self, calls, seed, noise):
+        # singular G: LU need not meet an exactly zero pivot, and the
+        # refinement step alone can miss it, most of all when y is fitted
+        rng = np.random.default_rng(seed)
+        rows = int(rng.integers(2, 40))
+        cols = int(rng.integers(2, rows + 1))
+        a = conditioned(rng, rows, cols, 10.0, "repeated")
+        y = a @ rng.standard_normal(cols) + noise * rng.standard_normal(rows)
+        calls.clear()
+        x = linalg.solve_min_norm(a, y, gram=a.T @ a)
+        assert calls == [(rows, cols)]
+        np.testing.assert_array_equal(x, linalg.solve_min_norm(a, y))
+
+    @pytest.mark.parametrize("rows, cols", [(40, 32), (12, 12), (200, 110)])
+    def test_a_well_conditioned_design_makes_no_svd(self, calls, rows, cols):
+        rng = np.random.default_rng(rows)
+        a = conditioned(rng, rows, cols, 1e3)
+        y = rng.standard_normal(rows)
+        x = linalg.solve_min_norm(a, y, gram=a.T @ a)
+        assert calls == []
+        want = linalg.solve_min_norm(a, y)
+        assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("cond, kind", [
+        (1e6, "plain"), (1e9, "plain"), (1e12, "plain"), (10.0, "zero"), (10.0, "repeated"),
+    ])
+    def test_an_ill_conditioned_or_singular_design_falls_back_to_the_svd(self, calls, cond, kind):
+        rng = np.random.default_rng(6)
+        a = conditioned(rng, 12, 6, cond, kind)
+        y = rng.standard_normal(12)
+        x = linalg.solve_min_norm(a, y, gram=a.T @ a)  # no LinAlgError escapes
+        assert calls == [(12, 6)]
+        np.testing.assert_array_equal(x, linalg.solve_min_norm(a, y))
+
+    def test_a_large_residual_falls_back_to_the_svd(self, calls):
+        # y's part off a's range swamps its fitted part, and rounding of a
+        # moves the least-squares solution by far more than LOO_RTOL
+        rng = np.random.default_rng(7)
+        a = conditioned(rng, 12, 3, 10.0)
+        off_range = np.linalg.qr(a, mode="complete")[0][:, 3:]
+        y = a @ np.ones(3) + 1e8 * (off_range @ rng.standard_normal(9))
+        x = linalg.solve_min_norm(a, y, gram=a.T @ a)
+        assert calls == [(12, 3)]
+        np.testing.assert_array_equal(x, linalg.solve_min_norm(a, y))
+
+    def test_a_zero_matrix_falls_back_to_zeros(self, calls):
+        x = linalg.solve_min_norm(np.zeros((3, 2)), np.ones(3), gram=np.zeros((2, 2)))
+        assert calls == [(3, 2)]
+        np.testing.assert_array_equal(x, np.zeros(2))
+
+    def test_a_gram_matrix_of_another_shape_is_rejected(self):
+        with pytest.raises(ValueError, match="gram must be 2x2"):
+            linalg.solve_min_norm(np.eye(3, 2), np.ones(3), gram=np.eye(3))
 
 
 class TestLooFullColumnRank:
