@@ -13,9 +13,10 @@ default_rank_cutoff(rows, cols) = max(rows, cols) * machine epsilon times the
 largest, rows and cols being the shape of the systems it solves: the matrix
 given for pinv and solve_min_norm, its leave-one-out folds for loo_min_norm
 and loo_full_column_rank.  No routine takes another cutoff.  The one solve
-that can skip the SVD is solve_min_norm given a's Gram matrix: it uses the
-corrected seminormal equations when their error estimate is within
-LOO_RTOL, and the SVD otherwise.
+that can skip the SVD is solve_min_norm given a's Gram matrix, as
+solvers.fit_nnls gives it for every passive solve of a wide or tall
+design: it uses the corrected seminormal equations when their error
+estimate is within LOO_RTOL, and the SVD otherwise.
 Intended scale is desk-size problems (up to a few hundred rows/columns).
 """
 

@@ -263,6 +263,16 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
     scale-equivariant; the convergence test is on the normalized objective's
     gradient norm.
 
+    With a ridge (alpha > 0) every stationary w lies in the row space of
+    S's nonzero columns (the representer theorem; Kimeldorf & Wahba 1971).
+    When that space is smaller than the number of those columns, as on a
+    wide design, the fit factors S_used^T = Q R with Q orthonormal, and runs
+    the same iteration on the n-by-n design R^T in coordinates y, w_used =
+    Q y.  The objective is the same (S w = R^T y and ||w|| = ||y||), and so
+    are the gradient norm and the stop rules; the damping floor below is
+    taken from H's diagonal in w.  A question no student scored on gets
+    weight exactly 0.  At alpha = 0 the fit runs on S itself.
+
     sigma >= floor * max|a| is a bound (Bertsekas, "Projected Newton methods
     for optimization problems with simple constraints", 1982).  f is convex
     in sigma with (w, c) held, so before each step the fit tests the slope
@@ -277,7 +287,10 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
     with (w, c) held, the root of that slope, and the full Newton iteration
     resumes.  A sigma that equals the floor in floating point is on it: its
     u gradient has vanished with exp(u), so only the floor's KKT test can
-    tell whether sigma should rise.
+    tell whether sigma should rise.  Likewise a sigma just above the floor
+    hides its slope from the u gradient, scaled by exp(u) = sigma - floor:
+    before the fit stops off the floor, the slope in log(sigma) must pass
+    the gradient test too, or sigma moves to its minimizer with (w, c) held.
 
     Off the floor, each step is bounded in u, as a trust region bounds it
     (More & Sorensen, "Computing a trust region step", 1983): a Newton step
@@ -326,6 +339,16 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
     # scale * (huber part + alpha*scale*||w_t||^2), so alpha picks up a factor.
     alpha = cfg.huber_regularization * scale
 
+    # With a ridge the minimizer's w lies in the row space of S's nonzero
+    # columns; on a wide design the fit runs in coordinates y of that space.
+    used = s.any(axis=0)
+    basis = squares = None
+    if alpha > 0 and n < used.sum():
+        basis, r = np.linalg.qr(s[:, used].T)
+        squares = s[:, used] ** 2
+        s = r.T
+    full_m, m = m, s.shape[1]
+
     theta = np.zeros(m + 2)
     theta[m] = at.mean()
     sigma0 = float(np.std(at - theta[m]))
@@ -363,6 +386,14 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
                 np.abs(z_floor) <= eps, quad
             ):
                 u = -np.inf
+        if u is None and not at_floor and gnorm < HUBER_TOLERANCE:
+            z, _, sigma, exp_u = point
+            # near the floor exp(u) hides sigma's slope from the u gradient;
+            # unless the slope in log(sigma) is small too, sigma moves to
+            # its minimizer with (w, c) held
+            if abs(g[m + 1]) * sigma >= HUBER_TOLERANCE * exp_u:
+                above = _scale_minimizer(z, eps) * sigma - _SIGMA_FLOOR
+                u = np.log(above) if above > 0.0 else -np.inf
         if u is not None:  # f falls, so the move needs no acceptance test
             theta[m + 1] = u
             f, g, point = _huber_objective_and_grad(theta, s, at, eps, alpha)
@@ -380,7 +411,13 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
         # on the floor the Newton system is the (w, c) block alone
         k = m + 1 if at_floor else m + 2
         h = _huber_hessian(point, g, s, alpha)[:k, :k]
-        mu_floor = 1e-10 * h.diagonal().max()
+        diagonal = h.diagonal()
+        if squares is not None:
+            # the damping floor scales with H's diagonal in w, not in y,
+            # so that the iteration is the one it would be on S itself
+            w_diagonal = (2.0 / point[2]) * (point[1] @ squares) + 2.0 * alpha
+            diagonal = np.concatenate([w_diagonal, diagonal[m:]])
+        mu_floor = 1e-10 * diagonal.max()
         damping = np.full(k, mu)
         if not at_floor:  # the (w, c) block may be singular; u keeps mu alone
             damping[: m + 1] = max(mu, mu_floor)
@@ -419,8 +456,12 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
         mu = mu / 4.0 if t == 1.0 else max(4.0 * mu, mu_floor)
         theta, f, g, gnorm, point = cand, f_cand, g_cand, g_cand_norm, point_cand
 
+    w = theta[:m]
+    if basis is not None:
+        w = np.zeros(full_m)
+        w[used] = basis @ theta[:m]
     return WeightSolution(
-        question_weights=theta[:m] * scale,
+        question_weights=w * scale,
         intercept=float(theta[m] * scale),
         iterations=it,
         evaluations=evaluations,
@@ -450,17 +491,18 @@ def fit_nnls(
     not the answer; pass a start only there.
 
     Each passive-set solve is linalg.solve_min_norm on S's passive columns.
-    When S has at least as many rows as columns, the fit forms G = S^T S
-    once and hands each solve its passive block G[P, P]: the solve then
-    takes the corrected seminormal equations, one refinement step on top of
-    G[P, P] x = S_P^T a, and falls back to an SVD when its error estimate
-    passes linalg.LOO_RTOL or the block is singular.  A wider S solves every
-    passive set by SVD.
+    The fit forms G = S^T S once and hands each solve its passive block
+    G[P, P]: the solve then takes the corrected seminormal equations, one
+    refinement step on top of G[P, P] x = S_P^T a, and falls back to an SVD
+    when its error estimate passes linalg.LOO_RTOL or the block is
+    singular.  This holds for a wide S too: Lawson-Hanson keeps the passive
+    columns linearly independent (Lawson & Hanson 1974, ch. 23), so a
+    passive block of a wide design is as usable as one of a tall design.
     """
     s, a = _check_design(s, a)
-    n, m = s.shape
+    m = s.shape[1]
     max_iter = nnls_iteration_cap(m)
-    gram = s.T @ s if n >= m else None
+    gram = s.T @ s
 
     x = np.zeros(m)
     passive = np.zeros(m, dtype=bool)
@@ -472,8 +514,7 @@ def fit_nnls(
         if iterations > max_iter:
             raise ConvergenceError(f"NNLS exceeded iteration cap of {max_iter}")
         z = np.zeros(m)
-        block = None if gram is None else gram[passive][:, passive]
-        z[passive] = linalg.solve_min_norm(s[:, passive], a, gram=block)
+        z[passive] = linalg.solve_min_norm(s[:, passive], a, gram=gram[passive][:, passive])
         return z
 
     if start is not None:

@@ -415,12 +415,18 @@ EVERY_CELL = [(scale, exclusion) for exclusion in (gb.INCLUDE_EXAM, gb.EXCLUDE_E
 
 
 class TestGramNnls:
-    """On a design with at least as many students as questions, NNLS's
-    passive solves come from the Gram matrix; its folds are those of the
-    SVD solves to 1e-10, and a wide design keeps the SVD solves."""
+    """NNLS's passive solves come from the Gram matrix on wide and tall
+    designs alike; its folds are those of the SVD solves to 1e-10."""
 
-    def test_folds_match_the_svd_path_on_the_tall_60x53_cohort(self, monkeypatch):
-        s, targets = cohort(dict(seed=3, students=60, noise=4.0), EVERY_CELL)
+    @pytest.mark.parametrize("spec", [
+        dict(seed=7),
+        dict(seed=3, students=20, noise=4.0),
+        dict(seed=3, students=30, noise=4.0),
+        dict(seed=3, students=45, noise=4.0),
+        dict(seed=3, students=60, noise=4.0),
+    ], ids=["seed7", "20x53", "30x53", "45x53", "60x53"])
+    def test_folds_match_the_svd_path(self, monkeypatch, spec):
+        s, targets = cohort(spec, EVERY_CELL)
         fits = experiment.loocv_fit(s, targets, solvers.NNLS)
         solve = linalg.solve_min_norm
         monkeypatch.setattr(linalg, "solve_min_norm", lambda a, y, gram=None: solve(a, y))
@@ -432,9 +438,9 @@ class TestGramNnls:
                 np.testing.assert_array_equal(got.question_weights > 0, w > 0)
                 assert got.iterations == want.iterations
 
-    def test_the_seed7_folds_get_no_gram_matrix(self, monkeypatch):
-        # wide (9x53): every passive solve is the SVD solve, as before the
-        # Gram route, so the fold weights are bit for bit the same
+    def test_the_seed7_folds_solve_from_the_gram_matrix(self, monkeypatch, svd_calls):
+        # wide (9x53): every passive solve gets its Gram block, and none
+        # falls back to an SVD
         s, targets = cohort(dict(seed=7), EVERY_CELL)
         grams = []
         solve = linalg.solve_min_norm
@@ -445,7 +451,8 @@ class TestGramNnls:
 
         monkeypatch.setattr(linalg, "solve_min_norm", recording)
         experiment.loocv_fit(s, targets, solvers.NNLS)
-        assert len(grams) > 0 and all(gram is None for gram in grams)
+        assert len(grams) > 0 and all(gram is not None for gram in grams)
+        assert svd_calls == []
 
 
 class TestEvaluate:

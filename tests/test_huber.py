@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from examweight import experiment, solvers, synthetic
 from examweight.solvers import _SIGMA_FLOOR, SolverConfig, _huber_objective_and_grad
@@ -315,6 +316,9 @@ WIDE_SEEDS = (21, 40, 43, 46, 109, 146)
 def oracle_design(case):
     """(s, a, cfg).  Seeds 0-2: tall designs with one outlier, sigma inside.
     "wide": an exactly interpolable design with n < m, sigma on the floor.
+    "repeated_student": a noisy wide design whose rows 3 and 5 are equal, so
+    the row-space factor R is singular; sigma inside.  "zero_column": a
+    noisy wide binary design with an all-zero column, sigma on the floor.
     "above_floor": near-exact rows and one outlier; the fit reaches the
     floor on its way, but sigma's optimum lies above it.  "floating_floor":
     sigma reaches the floor in floating point along u, but its optimum lies
@@ -324,6 +328,16 @@ def oracle_design(case):
         rng = np.random.default_rng(0)
         s = rng.random((6, 10))
         return s, s @ (rng.random(10) * 4) + 1, cfg
+    if case == "repeated_student":
+        rng = np.random.default_rng(1)
+        s = rng.random((7, 12))
+        s[3] = s[5]
+        return s, s @ (rng.random(12) * 4) + 1 + 5 * rng.standard_normal(7), cfg
+    if case == "zero_column":
+        rng = np.random.default_rng(2)
+        s = rng.integers(0, 2, (8, 20)).astype(float)
+        s[:, 4] = 0.0
+        return s, s @ (rng.random(20) * 4) + 3 + rng.standard_normal(8), cfg
     if case == "above_floor":
         rng = np.random.default_rng(56)
         s = rng.random((6, 2))
@@ -341,13 +355,15 @@ def oracle_design(case):
     return s, a, cfg
 
 
-@pytest.mark.parametrize("case", [0, 1, 2, "wide", "above_floor", "floating_floor"])
+@pytest.mark.parametrize("case", [
+    0, 1, 2, "wide", "repeated_student", "zero_column", "above_floor", "floating_floor",
+])
 def test_weights_match_lbfgsb_oracle(case):
     s, a, cfg = oracle_design(case)
     w_o, c_o, sigma_o = lbfgsb_oracle(s, a, cfg.huber_epsilon, cfg.huber_regularization)
     sol = solvers.fit_huber(s, a, cfg)
     assert sol.stop_reason == solvers.STOP_GRADIENT
-    assert (sol.sigma == _SIGMA_FLOOR * np.max(np.abs(a))) == (case == "wide")
+    assert (sol.sigma == _SIGMA_FLOOR * np.max(np.abs(a))) == (case in ("wide", "zero_column"))
     assert np.max(np.abs(sol.question_weights - w_o)) < 1e-6 * np.max(np.abs(w_o))
     assert sol.intercept == pytest.approx(c_o, rel=1e-6)
     assert sol.sigma == pytest.approx(sigma_o, rel=1e-6)
@@ -367,3 +383,76 @@ def test_first_scale_step_is_bounded(case, monkeypatch):
     monkeypatch.setattr(solvers, "_huber_objective_and_grad", recording)
     solvers.fit_huber(s, a, cfg)
     assert abs(trials[1] - trials[0]) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("case", ["wide", "repeated_student", "zero_column"])
+def test_wide_ridge_weights_lie_in_the_row_space(case):
+    # with alpha > 0 the fit runs in coordinates of the row space of S's
+    # nonzero columns: a zero column's weight is exactly 0, and the rest is
+    # a combination of the students' rows
+    s, a, cfg = oracle_design(case)
+    w = solvers.fit_huber(s, a, cfg).question_weights
+    used = s.any(axis=0)
+    assert np.all(w[~used] == 0.0)
+    assert used.sum() == s.shape[1] - (case == "zero_column")
+    rows = s[:, used].T
+    beta = np.linalg.lstsq(rows, w[used], rcond=None)[0]
+    assert np.linalg.norm(w[used] - rows @ beta) <= 1e-12 * np.linalg.norm(w)
+
+
+def wide_ridge_design(seed, binary, zero_column, repeated_student):
+    """(s, a): a random wide design, optionally binary, with an all-zero
+    column and with its first student repeating its last."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 11))
+    m = int(rng.integers(n + 1, 26))
+    s = rng.integers(0, 2, (n, m)).astype(float) if binary else rng.random((n, m))
+    if zero_column:
+        s[:, rng.integers(m)] = 0.0
+    if repeated_student:
+        s[0] = s[-1]
+    return s, s @ (rng.random(m) * 4) + 3 + 10 ** rng.uniform(-3, 1) * rng.standard_normal(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    alpha=st.sampled_from([0.01, 0.1, 1.0]),
+    binary=st.booleans(),
+    zero_column=st.booleans(),
+    repeated_student=st.booleans(),
+)
+def test_wide_ridge_fits_reach_the_oracle_objective(seed, alpha, binary, zero_column,
+                                                    repeated_student):
+    # Objectives, not weights: where a flat minimum's fit stops within
+    # HUBER_TOLERANCE can move w by far more than it moves f.  That
+    # tolerance is on the normalized gradient, so when f is tiny (two equal
+    # students, near-exact targets) the default fit stops up to about 4e-11
+    # (relative) above the minimum; a tighter tolerance brings it within
+    # 1e-12.
+    s, a = wide_ridge_design(seed, binary, zero_column, repeated_student)
+    cfg = SolverConfig(huber_regularization=alpha)
+    eps = cfg.huber_epsilon
+    f_oracle = concomitant_objective(s, a, *lbfgsb_oracle(s, a, eps, alpha), eps, alpha)
+    for tolerance, rtol in ((solvers.HUBER_TOLERANCE, 1e-10), (1e-10, 1e-12)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solvers, "HUBER_TOLERANCE", tolerance)
+            sol = solvers.fit_huber(s, a, cfg)
+        assert sol.stop_reason == solvers.STOP_GRADIENT
+        f = concomitant_objective(s, a, sol.question_weights, sol.intercept, sol.sigma, eps, alpha)
+        assert f <= f_oracle + rtol * abs(f_oracle)
+
+
+@pytest.mark.parametrize("seed, binary", [(63, False), (747, True)])
+def test_sigma_just_above_the_floor_is_tested_in_log_sigma(seed, binary):
+    # sigma left the floor by a hair (exp(u) about 1e-13 of it for seed 63),
+    # and exp(u) then hid its slope from the u gradient: these fits stopped
+    # on "gradient" 4.3e-3 and 9.6e-8 (relative) above the minimum
+    s, a = wide_ridge_design(seed, binary, zero_column=False, repeated_student=True)
+    cfg = SolverConfig(huber_regularization=0.01)
+    eps = cfg.huber_epsilon
+    f_oracle = concomitant_objective(s, a, *lbfgsb_oracle(s, a, eps, 0.01), eps, 0.01)
+    sol = solvers.fit_huber(s, a, cfg)
+    assert sol.stop_reason == solvers.STOP_GRADIENT
+    f = concomitant_objective(s, a, sol.question_weights, sol.intercept, sol.sigma, eps, 0.01)
+    assert f <= f_oracle + 1e-10 * abs(f_oracle)
