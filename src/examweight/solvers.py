@@ -60,10 +60,10 @@ class SolverConfig:
     """Tuning knobs of fit_huber, passed to every fitter alike.
 
     huber_epsilon and huber_regularization are the CLI's --epsilon and
-    --alpha.  huber_max_iterations caps fit_huber's Newton steps; the
-    benchmark's tracer reads it to count fits that hit the cap.  The
-    stopping tolerance and the NNLS cap are HUBER_TOLERANCE and
-    nnls_iteration_cap.
+    --alpha.  huber_max_iterations caps fit_huber's Newton solves, its
+    floor probes included; the benchmark's tracer reads it to count fits
+    that hit the cap.  The stopping tolerance and the NNLS cap are
+    HUBER_TOLERANCE and nnls_iteration_cap.
     """
 
     huber_epsilon: float = 1.8
@@ -251,6 +251,43 @@ def _huber_hessian(point, grad, s, alpha):
     return h
 
 
+def _floor_probe(theta, f, point, s, a, eps, alpha):
+    """One Newton step of the floor's (w, c) model from theta, landing on
+    the floor (u = -inf): the point fit_huber accepts as (theta, f, grad,
+    point), or None if it refuses it.
+
+    The model keeps the regime of the current point: rows in the quadratic
+    regime there are quadratic in (w, c) at sigma = floor, and the rest are
+    linear with the sign of their residual.  The step is accepted only if f
+    falls strictly, the same rows are quadratic at the new point, and the
+    floor's slope df/dsigma = n - sum_i min(z_i^2, eps^2) is nonnegative
+    there, so that sigma's minimizer with (w, c) held lies on the floor.
+    """
+    m = s.shape[1]
+    z, quad = point[0], point[1]
+    r = a - theta[m] - s @ theta[:m]
+    hprime = np.where(quad, 2.0 * r / _SIGMA_FLOOR, 2.0 * eps * np.sign(r))
+    g = np.zeros(m + 2)
+    g[:m] = -(s.T @ hprime) + 2.0 * alpha * theta[:m]
+    g[m] = -hprime.sum()
+    h = _huber_hessian((z, quad, _SIGMA_FLOOR, 0.0), g, s, alpha)[: m + 1, : m + 1]
+    cand = theta.copy()
+    cand[m + 1] = -np.inf
+    try:
+        cand[: m + 1] += np.linalg.solve(h, -g[: m + 1])
+    except np.linalg.LinAlgError:
+        cand[: m + 1] -= g[: m + 1]
+    f_cand, g_cand, point_cand = _huber_objective_and_grad(cand, s, a, eps, alpha)
+    z_cand = point_cand[0]
+    if (
+        f_cand < f
+        and np.array_equal(point_cand[1], quad)
+        and len(a) >= np.minimum(z_cand * z_cand, eps * eps).sum()
+    ):
+        return cand, f_cand, g_cand, point_cand
+    return None
+
+
 def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
     """Huber regression with a jointly optimized concomitant scale.
 
@@ -291,6 +328,24 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
     hides its slope from the u gradient, scaled by exp(u) = sigma - floor:
     before the fit stops off the floor, the slope in log(sigma) must pass
     the gradient test too, or sigma moves to its minimizer with (w, c) held.
+
+    The test for moving onto the floor looks only at the current (w, c),
+    and the bounded u steps below carry a falling sigma down to the floor
+    by at most a factor of e per step.  On the row-space route, when sigma
+    is falling and that test fails after at least one accepted step, the
+    fit probes the floor instead: one Newton solve of the floor's (w, c)
+    model in the current regime (rows quadratic now are quadratic at sigma
+    = floor, the rest linear with their residual's sign), landing at u =
+    -inf.  The probe is accepted only if f falls strictly, the same rows
+    are quadratic there and the floor's slope is nonnegative; sigma then
+    sits on the floor with mu = 0, and the floor's KKT test and stop rules
+    above decide as for any move onto it.  A refused probe is not retried
+    until the regime changes.  Each probe is a Newton solve and an
+    objective evaluation, counted in iterations, toward
+    huber_max_iterations and in evaluations.  For alpha > 0 the objective
+    is jointly convex in (w, c, sigma), as a perspective function (Owen, "A
+    robust hybrid of lasso and ridge regression", 2007), so the probe moves
+    where the fit stops within the tolerance, not its minimizer.
 
     Off the floor, each step is bounded in u, as a trust region bounds it
     (More & Sorensen, "Computing a trust region step", 1983): a Newton step
@@ -359,12 +414,14 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
     gnorm = float(np.linalg.norm(g))
     mu = 0.0
     it = 0
-    at_floor = False
+    at_floor = stepped = False
+    refused = None  # the regime of the last refused floor probe
     abs_s = np.abs(s)
     while True:
         # f is convex in sigma with (w, c) held: sigma moves onto the floor
         # when its minimizer lies there, and back off when it does not.
         u = None
+        probe = False
         if not at_floor and point[2] == _SIGMA_FLOOR:
             # sigma is the floor in floating point, and the u gradient has
             # vanished with exp(u): sit on the floor, where KKT is tested
@@ -386,6 +443,10 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
                 np.abs(z_floor) <= eps, quad
             ):
                 u = -np.inf
+            else:  # the floor may still hold a minimizer for another (w, c)
+                probe = (
+                    basis is not None and stepped and not np.array_equal(quad, refused)
+                )
         if u is None and not at_floor and gnorm < HUBER_TOLERANCE:
             z, _, sigma, exp_u = point
             # near the floor exp(u) hides sigma's slope from the u gradient;
@@ -408,6 +469,16 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
             stop_reason = STOP_ITERATION_CAP
             break
         it += 1
+        if probe and u is None:  # a Newton solve and an evaluation of its own
+            evaluations += 1
+            landed = _floor_probe(theta, f, point, s, at, eps, alpha)
+            if landed is None:
+                refused = point[1]
+            else:
+                theta, f, g, point = landed
+                gnorm = float(np.linalg.norm(g))
+                at_floor, mu = True, 0.0
+            continue
         # on the floor the Newton system is the (w, c) block alone
         k = m + 1 if at_floor else m + 2
         h = _huber_hessian(point, g, s, alpha)[:k, :k]
@@ -455,6 +526,7 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
             continue
         mu = mu / 4.0 if t == 1.0 else max(4.0 * mu, mu_floor)
         theta, f, g, gnorm, point = cand, f_cand, g_cand, g_cand_norm, point_cand
+        stepped = True
 
     w = theta[:m]
     if basis is not None:

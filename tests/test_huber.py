@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from examweight import experiment, solvers, synthetic
+from examweight import experiment, gradebook as gb, solvers, synthetic
 from examweight.solvers import _SIGMA_FLOOR, SolverConfig, _huber_objective_and_grad
 
 
@@ -144,6 +144,17 @@ def seed7_huber_folds(cfg):
     return [f for rec in report.records for f in rec.fold_weights]
 
 
+def ladder_huber_folds(students):
+    """Every Huber fold of a noisy seed-3 cohort's LOOCV, 4 targets (both
+    scales, both exclusions)."""
+    spec = synthetic.SyntheticSpec(seed=3, students=students, noise=4.0)
+    report = experiment.evaluate(
+        synthetic.generate_gradebook(spec), "final",
+        exclusions=(gb.INCLUDE_EXAM, gb.EXCLUDE_EXAM), approaches=(solvers.HUBER,),
+    )
+    return [f for rec in report.records for f in rec.fold_weights]
+
+
 class TestStopReason:
     def test_seed7_folds_stop_on_gradient(self):
         folds = seed7_huber_folds(solvers.DEFAULT_CONFIG)
@@ -167,8 +178,9 @@ class TestStopReason:
             assert sol.sigma == _SIGMA_FLOOR * np.max(np.abs(a))
             assert sol.stop_reason == solvers.STOP_GRADIENT
         # 586 when sigma approached the floor along u alone, 254 with the
-        # floor as a bound before each step in u was bounded
-        assert sum(sol.iterations for _, sol in fits) <= 220
+        # floor as a bound before each step in u was bounded, 188 before the
+        # floor probe
+        assert sum(sol.iterations for _, sol in fits) <= 60
 
     def test_seed7_evaluations_fall_and_repeat(self):
         totals = []
@@ -178,8 +190,18 @@ class TestStopReason:
             totals.append(sum(f.evaluations for f in folds))
         assert totals[0] == totals[1]
         # 1580 when sigma approached the floor along u alone, 1266 before each
-        # step in u was bounded and the line search halved its overshoot
-        assert totals[0] <= 450
+        # step in u was bounded and the line search halved its overshoot, 362
+        # before the floor probe
+        assert totals[0] <= 150
+
+    @pytest.mark.parametrize("students, cap", [(20, 560), (30, 1150)])
+    def test_wide_ladder_step_totals(self, students, cap):
+        # the row-space route with the floor probe: 1060 and 1804 steps
+        # before it, 508 and 1051 with it
+        folds = ladder_huber_folds(students)
+        assert len(folds) == 4 * students
+        assert all(f.stop_reason == solvers.STOP_GRADIENT for f in folds)
+        assert sum(f.iterations for f in folds) <= cap
 
     def test_seed7_evaluations_without_ridge(self):
         # n < m and alpha = 0: the w block is singular; its damping floor
@@ -400,9 +422,11 @@ def test_wide_ridge_weights_lie_in_the_row_space(case):
     assert np.linalg.norm(w[used] - rows @ beta) <= 1e-12 * np.linalg.norm(w)
 
 
-def wide_ridge_design(seed, binary, zero_column, repeated_student):
+def wide_ridge_design(seed, binary, zero_column, repeated_student, noisy=False):
     """(s, a): a random wide design, optionally binary, with an all-zero
-    column and with its first student repeating its last."""
+    column and with its first student repeating its last.  The noise is 1e-3
+    to 10, or 10 to 100 when noisy, where sigma's optimum mostly lies above
+    the floor."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 11))
     m = int(rng.integers(n + 1, 26))
@@ -411,7 +435,8 @@ def wide_ridge_design(seed, binary, zero_column, repeated_student):
         s[:, rng.integers(m)] = 0.0
     if repeated_student:
         s[0] = s[-1]
-    return s, s @ (rng.random(m) * 4) + 3 + 10 ** rng.uniform(-3, 1) * rng.standard_normal(n)
+    noise = 10 ** rng.uniform(*((1, 2) if noisy else (-3, 1)))
+    return s, s @ (rng.random(m) * 4) + 3 + noise * rng.standard_normal(n)
 
 
 @settings(max_examples=60, deadline=None)
@@ -421,16 +446,18 @@ def wide_ridge_design(seed, binary, zero_column, repeated_student):
     binary=st.booleans(),
     zero_column=st.booleans(),
     repeated_student=st.booleans(),
+    noisy=st.booleans(),
 )
 def test_wide_ridge_fits_reach_the_oracle_objective(seed, alpha, binary, zero_column,
-                                                    repeated_student):
+                                                    repeated_student, noisy):
     # Objectives, not weights: where a flat minimum's fit stops within
     # HUBER_TOLERANCE can move w by far more than it moves f.  That
     # tolerance is on the normalized gradient, so when f is tiny (two equal
     # students, near-exact targets) the default fit stops up to about 4e-11
     # (relative) above the minimum; a tighter tolerance brings it within
-    # 1e-12.
-    s, a = wide_ridge_design(seed, binary, zero_column, repeated_student)
+    # 1e-12.  Noisy designs mostly keep sigma above the floor, where floor
+    # probes are refused.
+    s, a = wide_ridge_design(seed, binary, zero_column, repeated_student, noisy)
     cfg = SolverConfig(huber_regularization=alpha)
     eps = cfg.huber_epsilon
     f_oracle = concomitant_objective(s, a, *lbfgsb_oracle(s, a, eps, alpha), eps, alpha)
@@ -456,3 +483,96 @@ def test_sigma_just_above_the_floor_is_tested_in_log_sigma(seed, binary):
     assert sol.stop_reason == solvers.STOP_GRADIENT
     f = concomitant_objective(s, a, sol.question_weights, sol.intercept, sol.sigma, eps, 0.01)
     assert f <= f_oracle + 1e-10 * abs(f_oracle)
+
+
+@pytest.fixture
+def probes(monkeypatch):
+    """Every floor probe's outcome, True when accepted."""
+    outcomes = []
+    probe = solvers._floor_probe
+
+    def recording(*args):
+        landed = probe(*args)
+        outcomes.append(landed is not None)
+        return landed
+
+    monkeypatch.setattr(solvers, "_floor_probe", recording)
+    return outcomes
+
+
+class TestFloorProbe:
+    def test_without_probes_the_seed7_folds_take_the_old_steps(self, monkeypatch):
+        # every probe is refused: each still counts one Newton solve and one
+        # evaluation, and the rest of the path is the one without probes
+        probed = seed7_huber_folds(solvers.DEFAULT_CONFIG)
+        calls = []
+        monkeypatch.setattr(solvers, "_floor_probe", lambda *args: calls.append(1))
+        folds = seed7_huber_folds(solvers.DEFAULT_CONFIG)
+        assert calls
+        assert sum(f.iterations for f in folds) - len(calls) == 188
+        assert sum(f.evaluations for f in folds) - len(calls) == 362
+        for got, want in zip(probed, folds):
+            w = want.question_weights
+            assert got.stop_reason == want.stop_reason == solvers.STOP_GRADIENT
+            assert np.linalg.norm(got.question_weights - w) <= 1e-10 * np.linalg.norm(w)
+            assert got.intercept == pytest.approx(want.intercept, rel=1e-10)
+            assert got.sigma == want.sigma
+
+    def test_seed7_folds_land_on_the_floor_by_a_probe(self, probes):
+        # one accepted probe per fold; where none is refused, it is the
+        # fold's second step, after its first Newton step
+        folds = seed7_huber_folds(solvers.DEFAULT_CONFIG)
+        assert probes.count(True) == len(folds)
+        assert min(f.iterations for f in folds) == 2
+
+    def test_ridgeless_and_tall_fits_never_probe(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a floor probe off the row-space route")
+
+        monkeypatch.setattr(solvers, "_floor_probe", refuse)
+        for case in (0, 1, 2, "floating_floor"):
+            s, a, cfg = oracle_design(case)
+            assert solvers.fit_huber(s, a, cfg).stop_reason == solvers.STOP_GRADIENT
+        ridgeless = SolverConfig(huber_regularization=0.0)
+        for case in ("wide", "zero_column"):
+            s, a, _ = oracle_design(case)
+            assert solvers.fit_huber(s, a, ridgeless).stop_reason == solvers.STOP_GRADIENT
+        assert len(seed7_huber_folds(ridgeless)) == 18
+        spec = synthetic.SyntheticSpec(seed=3, students=60, noise=4.0)
+        report = experiment.evaluate(
+            synthetic.generate_gradebook(spec), "final", approaches=(solvers.HUBER,)
+        )
+        assert all(f.converged for rec in report.records for f in rec.fold_weights)
+
+    @pytest.mark.parametrize("seed, binary, noisy, outcomes", [
+        (156, True, False, [False, False, False]),
+        (3, False, False, [False, True]),
+        (0, False, True, [False, False, False]),
+        (5, True, True, [False, True]),
+    ], ids=["slope", "regime", "noisy_above", "noisy_floor"])
+    def test_refused_probes_leave_the_fit_to_newton(self, probes, seed, binary, noisy,
+                                                    outcomes):
+        # The first probe of "slope" lowers f and keeps the regime, but the
+        # floor's slope is negative there: sigma's optimum lies 130 times
+        # above the floor.  The first of "regime" lowers f with a
+        # nonnegative slope, but changes a row's regime.  Noisy designs:
+        # sigma's optimum lies 800 times above the floor, or a probe is
+        # refused before another lands on it.
+        s, a = wide_ridge_design(seed, binary, zero_column=False, repeated_student=False,
+                                 noisy=noisy)
+        cfg = solvers.DEFAULT_CONFIG
+        eps, alpha = cfg.huber_epsilon, cfg.huber_regularization
+        sol = solvers.fit_huber(s, a, cfg)
+        assert probes == outcomes
+        assert sol.stop_reason == solvers.STOP_GRADIENT
+        assert (sol.sigma == _SIGMA_FLOOR * np.max(np.abs(a))) == outcomes[-1]
+        f_oracle = concomitant_objective(s, a, *lbfgsb_oracle(s, a, eps, alpha), eps, alpha)
+        f = concomitant_objective(s, a, sol.question_weights, sol.intercept, sol.sigma, eps, alpha)
+        assert f <= f_oracle + 1e-10 * abs(f_oracle)
+
+    def test_probes_count_toward_the_iteration_cap(self, probes):
+        s, a = wide_ridge_design(0, False, zero_column=False, repeated_student=False, noisy=True)
+        sol = solvers.fit_huber(s, a, SolverConfig(huber_max_iterations=2))
+        assert sol.stop_reason == solvers.STOP_ITERATION_CAP
+        assert sol.iterations == 2
+        assert probes == [False]
