@@ -1,8 +1,8 @@
-"""Dense linear algebra kernel: thin SVD, Moore-Penrose pseudoinverse,
-minimum-norm least-squares solving, centering on a basis of the zero-sum
-vectors, all leave-one-out minimum-norm solutions of any system from one
-SVD, unless an accuracy guard declines it, and a one-SVD certificate of
-which leave-one-out folds keep full column rank.
+"""Dense linear algebra kernel: thin SVD, minimum-norm least-squares
+solving, centering on a basis of the zero-sum vectors, all leave-one-out
+minimum-norm solutions of any system from one SVD, unless an accuracy guard
+declines it, and a one-SVD certificate of which leave-one-out folds keep
+full column rank.
 
 All routines are pure functions on float64 numpy arrays; the SVD is numpy's
 LAPACK routine, and ``svd`` returns the factors (u, sigma, v) of
@@ -11,8 +11,9 @@ columns, sigma nonincreasing and nonnegative, k = min(n, p).  Every other
 routine factors through it at most once and keeps the singular values above
 default_rank_cutoff(rows, cols) = max(rows, cols) * machine epsilon times the
 largest, rows and cols being the shape of the systems it solves: the matrix
-given for pinv and solve_min_norm, its leave-one-out folds for loo_min_norm
-and loo_full_column_rank.  No routine takes another cutoff.  The one solve
+given for solve_min_norm, its leave-one-out folds for loo_min_norm and
+loo_full_column_rank.  That truncation is the pseudoinverse the minimum-norm
+solutions apply, and no routine takes another cutoff.  The one solve
 that can skip the SVD is solve_min_norm given a's Gram matrix, as
 solvers.fit_nnls gives it for every passive solve of a wide or tall
 design: it uses the corrected seminormal equations when their error
@@ -83,16 +84,6 @@ def _truncated_svd(a, rank_cutoff: float | None = None):
     return u[:, :r], sigma[:r], v[:, :r], dropped
 
 
-def pinv(a) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via SVD.
-
-    Reciprocals of singular values sigma_k <= default_rank_cutoff(rows,
-    cols) * sigma_max are zeroed.
-    """
-    u, sigma, v, _ = _truncated_svd(a)
-    return (v / sigma) @ u.T
-
-
 # The bound on the estimated relative error of a result that skips an SVD
 # solve: loo_min_norm's fold solutions, past which the folds are left to
 # per-fold solves, and solve_min_norm's Gram solves, past which it solves by
@@ -113,16 +104,17 @@ def solve_min_norm(a, y, gram=None) -> np.ndarray:
     gram, when given, is ``a.T @ a``, and the solve first tries the
     corrected seminormal equations of ``_gram_solve``.  When they decline,
     as they do for a singular or ill-conditioned gram, the solve is by SVD
-    as without it.
+    as without it.  A y whose length is not a's row count is rejected before
+    either.
     """
-    y = as_vector(y)
+    a, y = as_matrix(a), as_vector(y)
+    if len(y) != len(a):
+        raise ValueError(f"dimension mismatch: matrix has {len(a)} rows, vector has {len(y)}")
     if gram is not None:
-        x = _gram_solve(as_matrix(a), y, np.asarray(gram, dtype=float))
+        x = _gram_solve(a, y, np.asarray(gram, dtype=float))
         if x is not None:
             return x
     u, sigma, v, _ = _truncated_svd(a)
-    if len(y) != len(u):
-        raise ValueError(f"dimension mismatch: matrix has {len(u)} rows, vector has {len(y)}")
     return v @ ((u.T @ y) / sigma)
 
 
@@ -148,11 +140,9 @@ def _gram_solve(a, y, gram):
     An accepted a has full column rank, so its least-squares solution is
     the minimum-norm one.
     """
-    rows, cols = a.shape
+    cols = a.shape[1]
     if gram.shape != (cols, cols):
         raise ValueError(f"gram must be {cols}x{cols} for a matrix of {cols} columns, got {gram.shape}")
-    if len(y) != rows:
-        return None  # the SVD solve reports the mismatch
     try:
         g_inv = np.linalg.inv(gram)
     except np.linalg.LinAlgError:
@@ -235,9 +225,9 @@ def loo_min_norm(a, ys, centered: bool = False):
     (n, p, k) array whose [j] is fold j's solution, or None when the
     accuracy guard declines the design.
 
-    With P = pinv(a) truncated at rank r (pinv(Q^T a) Q^T when centered),
-    X0 = P @ ys and the hat matrix H (which gains 1/n in every entry when
-    centered, for the intercept), fold j's solution is
+    With P the pseudoinverse of a truncated at rank r (that of Q^T a, times
+    Q^T, when centered), X0 = P @ ys and the hat matrix H (which gains 1/n
+    in every entry when centered, for the intercept), fold j's solution is
     ``X0 - P[:, j] c_j^T``.  When h_jj < 1, row j lies in the span of the
     others and c_j = e_j / (1 - h_jj), e_j the full fit's residual: the
     leave-one-out downdate behind PRESS (Allen 1974) and DFBETA (Belsley,

@@ -251,6 +251,17 @@ def _huber_hessian(point, grad, s, alpha):
     return h
 
 
+def _floor_holds(z, quad, eps) -> bool:
+    """Whether, at scaled residuals z = r / floor, sigma's minimizer with
+    (w, c) held lies on the floor and the rows quad are the ones in the
+    quadratic regime there.  f is convex in sigma, so the first holds when
+    the floor's slope df/dsigma = n - sum_i min(z_i^2, eps^2) is
+    nonnegative."""
+    return len(z) >= np.minimum(z * z, eps * eps).sum() and np.array_equal(
+        np.abs(z) <= eps, quad
+    )
+
+
 def _floor_probe(theta, f, point, s, a, eps, alpha):
     """One Newton step of the floor's (w, c) model from theta, landing on
     the floor (u = -inf): the point fit_huber accepts as (theta, f, grad,
@@ -259,9 +270,8 @@ def _floor_probe(theta, f, point, s, a, eps, alpha):
     The model keeps the regime of the current point: rows in the quadratic
     regime there are quadratic in (w, c) at sigma = floor, and the rest are
     linear with the sign of their residual.  The step is accepted only if f
-    falls strictly, the same rows are quadratic at the new point, and the
-    floor's slope df/dsigma = n - sum_i min(z_i^2, eps^2) is nonnegative
-    there, so that sigma's minimizer with (w, c) held lies on the floor.
+    falls strictly and _floor_holds at the new point for the current
+    regime, the same test as fit_huber's move onto the floor.
     """
     m = s.shape[1]
     z, quad = point[0], point[1]
@@ -278,12 +288,7 @@ def _floor_probe(theta, f, point, s, a, eps, alpha):
     except np.linalg.LinAlgError:
         cand[: m + 1] -= g[: m + 1]
     f_cand, g_cand, point_cand = _huber_objective_and_grad(cand, s, a, eps, alpha)
-    z_cand = point_cand[0]
-    if (
-        f_cand < f
-        and np.array_equal(point_cand[1], quad)
-        and len(a) >= np.minimum(z_cand * z_cand, eps * eps).sum()
-    ):
+    if f_cand < f and _floor_holds(point_cand[0], quad, eps):
         return cand, f_cand, g_cand, point_cand
     return None
 
@@ -306,56 +311,55 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
     wide design, the fit factors S_used^T = Q R with Q orthonormal, and runs
     the same iteration on the n-by-n design R^T in coordinates y, w_used =
     Q y.  The objective is the same (S w = R^T y and ||w|| = ||y||), and so
-    are the gradient norm and the stop rules; the damping floor below is
-    taken from H's diagonal in w.  A question no student scored on gets
-    weight exactly 0.  At alpha = 0 the fit runs on S itself.
+    are the gradient norm and the stop rules.  A question no student scored
+    on gets weight exactly 0.  At alpha = 0 the fit runs on S itself.
 
     sigma >= floor * max|a| is a bound (Bertsekas, "Projected Newton methods
-    for optimization problems with simple constraints", 1982).  f is convex
-    in sigma with (w, c) held, so before each step the fit tests the slope
-    df/dsigma = n - sum_i min(z_i^2, eps^2) at the floor.  When sigma is
-    falling, that slope is nonnegative and the rows in the quadratic regime
-    stay the same there, sigma moves exactly onto the floor (u = -inf), mu
-    resets to 0, and the Newton steps solve for (w, c) alone, whose
-    quadratic model is then exact while no row changes regime.  The gradient
-    on the floor is that of (w, c), so a fit stops there only at a KKT
-    point: a small gradient and a nonnegative slope.  When (w, c) is
-    stationary but the slope is negative, sigma moves up to its minimizer
-    with (w, c) held, the root of that slope, and the full Newton iteration
-    resumes.  A sigma that equals the floor in floating point is on it: its
-    u gradient has vanished with exp(u), so only the floor's KKT test can
-    tell whether sigma should rise.  Likewise a sigma just above the floor
-    hides its slope from the u gradient, scaled by exp(u) = sigma - floor:
-    before the fit stops off the floor, the slope in log(sigma) must pass
-    the gradient test too, or sigma moves to its minimizer with (w, c) held.
+    for optimization problems with simple constraints", 1982), and f is
+    convex in sigma with (w, c) held.  Each rule of the bound is stated
+    once:
 
-    The test for moving onto the floor looks only at the current (w, c),
-    and the bounded u steps below carry a falling sigma down to the floor
-    by at most a factor of e per step.  On the row-space route, when sigma
-    is falling and that test fails after at least one accepted step, the
-    fit probes the floor instead: one Newton solve of the floor's (w, c)
-    model in the current regime (rows quadratic now are quadratic at sigma
-    = floor, the rest linear with their residual's sign), landing at u =
-    -inf.  The probe is accepted only if f falls strictly, the same rows
-    are quadratic there and the floor's slope is nonnegative; sigma then
-    sits on the floor with mu = 0, and the floor's KKT test and stop rules
-    above decide as for any move onto it.  A refused probe is not retried
-    until the regime changes.  Each probe is a Newton solve and an
-    objective evaluation, counted in iterations, toward
-    huber_max_iterations and in evaluations.  For alpha > 0 the objective
-    is jointly convex in (w, c, sigma), as a perspective function (Owen, "A
-    robust hybrid of lasso and ridge regression", 2007), so the probe moves
-    where the fit stops within the tolerance, not its minimizer.
+    * The floor test (_floor_holds): the slope df/dsigma = n - sum_i
+      min(z_i^2, eps^2) at the floor is nonnegative, so sigma's minimizer
+      with (w, c) held lies on it, and the rows in the quadratic regime stay
+      the same there.  When sigma is falling and the test holds at the
+      current (w, c), sigma moves exactly onto the floor (u = -inf), mu
+      resets to 0, and the Newton steps solve for (w, c) alone, whose
+      quadratic model is then exact while no row changes regime.  A sigma
+      that equals the floor in floating point is on it: u = -inf, and its u
+      gradient is 0.
+    * The scale move: when the gradient norm is below HUBER_TOLERANCE but
+      the slope in log(sigma), g_u * sigma / exp(u), is not, sigma moves to
+      its minimizer with (w, c) held, the root of the slope, or onto the
+      floor if that root lies below it; a sigma on the floor stays there.
+      On the floor exp(u) = 0, so this is the floor's KKT test: a fit stops
+      there only at a small (w, c) gradient and a nonnegative slope.  Off
+      it, the test keeps a sigma just above the floor from hiding its slope
+      behind exp(u) = sigma - floor.
+    * The floor probe (_floor_probe): the floor test sees only the current
+      (w, c), and the bounded u steps below carry a falling sigma down by at
+      most a factor of e per step.  So on the row-space route, when sigma is
+      falling and the test fails after at least one accepted step, the fit
+      tries one Newton solve of the floor's (w, c) model in the current
+      regime, landing at u = -inf, and keeps it if f falls strictly and the
+      floor test holds there for that regime; sigma then sits on the floor
+      with mu = 0.  A refused probe is not retried until the regime changes.
+      Each probe counts as a Newton solve and an evaluation, toward
+      huber_max_iterations too.  For alpha > 0 the objective is jointly
+      convex in (w, c, sigma), as a perspective function (Owen, "A robust
+      hybrid of lasso and ridge regression", 2007), so the probe moves where
+      the fit stops within the tolerance, not its minimizer.
 
     Off the floor, each step is bounded in u, as a trust region bounds it
     (More & Sorensen, "Computing a trust region step", 1983): a Newton step
     with |d_u| > 1 is scaled by 1/|d_u|, so sigma changes by at most a
     factor of e per step instead of the line search halving an overshoot
     from far outside.  The damping of the (w, c) diagonal there is at least
-    1e-10 * max diag H, and u's is mu alone: at alpha = 0 on a wide design
-    the w block is singular, and once mu has decayed to 0 an undamped solve
-    of it fails or returns a useless step.  On the floor the (w, c) solve
-    is damped by mu alone, so its exact Newton steps land on the minimizer.
+    1e-10 * max diag of the system solved (in y on the row-space route), and
+    u's is mu alone: at alpha = 0 on a wide design the w block is singular,
+    and once mu has decayed to 0 an undamped solve of it fails or returns a
+    useless step.  On the floor the (w, c) solve is damped by mu alone, so
+    its exact Newton steps land on the minimizer.
 
     A step is accepted on an Armijo strict decrease, or when the objective
     stays within its rounding error and the gradient norm falls, so f at the
@@ -367,8 +371,8 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
 
     * "gradient": the gradient norm fell below HUBER_TOLERANCE (converged);
     * "stalled": 60 step halvings found no acceptable point, and the step
-      was already damped (a failed search with mu below 1e-10 * max diag H
-      is retried with mu raised to that floor);
+      was already damped (a failed search with mu below the damping floor
+      is retried with mu raised to it);
     * "iteration_cap": huber_max_iterations Newton solves were made.
 
     Neither of the last two is fatal: the last accepted iterate, the best up
@@ -397,10 +401,9 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
     # With a ridge the minimizer's w lies in the row space of S's nonzero
     # columns; on a wide design the fit runs in coordinates y of that space.
     used = s.any(axis=0)
-    basis = squares = None
+    basis = None
     if alpha > 0 and n < used.sum():
         basis, r = np.linalg.qr(s[:, used].T)
-        squares = s[:, used] ** 2
         s = r.T
     full_m, m = m, s.shape[1]
 
@@ -418,8 +421,6 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
     refused = None  # the regime of the last refused floor probe
     abs_s = np.abs(s)
     while True:
-        # f is convex in sigma with (w, c) held: sigma moves onto the floor
-        # when its minimizer lies there, and back off when it does not.
         u = None
         probe = False
         if not at_floor and point[2] == _SIGMA_FLOOR:
@@ -427,34 +428,22 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
             # vanished with exp(u): sit on the floor, where KKT is tested
             theta[m + 1], g[m + 1], at_floor, mu = -np.inf, 0.0, True, 0.0
             gnorm = float(np.linalg.norm(g))
-        if at_floor:
-            if gnorm < HUBER_TOLERANCE:
-                # (w, c) is optimal on the floor; KKT also needs sigma's
-                # minimizer on it
-                above = _scale_minimizer(point[0], eps) - 1.0
-                if above > 0.0:
-                    u = np.log(_SIGMA_FLOOR * above)
-        elif g[m + 1] > 0.0:
-            z, quad, sigma, _ = point
-            z_floor = z * (sigma / _SIGMA_FLOOR)
-            # a nonnegative slope df/dsigma on the floor puts the minimizer
-            # there; the quadratic regime must keep the same rows
-            if n >= np.minimum(z_floor * z_floor, eps * eps).sum() and np.array_equal(
-                np.abs(z_floor) <= eps, quad
-            ):
+        z, quad, sigma, _ = point
+        if not at_floor and g[m + 1] > 0.0:
+            if _floor_holds(z * (sigma / _SIGMA_FLOOR), quad, eps):
                 u = -np.inf
             else:  # the floor may still hold a minimizer for another (w, c)
-                probe = (
-                    basis is not None and stepped and not np.array_equal(quad, refused)
-                )
-        if u is None and not at_floor and gnorm < HUBER_TOLERANCE:
-            z, _, sigma, exp_u = point
-            # near the floor exp(u) hides sigma's slope from the u gradient;
-            # unless the slope in log(sigma) is small too, sigma moves to
-            # its minimizer with (w, c) held
-            if abs(g[m + 1]) * sigma >= HUBER_TOLERANCE * exp_u:
-                above = _scale_minimizer(z, eps) * sigma - _SIGMA_FLOOR
-                u = np.log(above) if above > 0.0 else -np.inf
+                probe = basis is not None and stepped and not np.array_equal(quad, refused)
+        # (w, c) is stationary but sigma's slope in log(sigma) is not small,
+        # as on the floor, where exp(u) = 0: sigma moves to its minimizer
+        # with (w, c) held, and one on the floor stays there
+        if (u is None and gnorm < HUBER_TOLERANCE
+                and abs(g[m + 1]) * sigma >= HUBER_TOLERANCE * np.exp(theta[m + 1])):
+            above = _scale_minimizer(z, eps) * sigma - _SIGMA_FLOOR
+            if above > 0.0:
+                u = np.log(above)
+            elif not at_floor:
+                u = -np.inf
         if u is not None:  # f falls, so the move needs no acceptance test
             theta[m + 1] = u
             f, g, point = _huber_objective_and_grad(theta, s, at, eps, alpha)
@@ -482,13 +471,7 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
         # on the floor the Newton system is the (w, c) block alone
         k = m + 1 if at_floor else m + 2
         h = _huber_hessian(point, g, s, alpha)[:k, :k]
-        diagonal = h.diagonal()
-        if squares is not None:
-            # the damping floor scales with H's diagonal in w, not in y,
-            # so that the iteration is the one it would be on S itself
-            w_diagonal = (2.0 / point[2]) * (point[1] @ squares) + 2.0 * alpha
-            diagonal = np.concatenate([w_diagonal, diagonal[m:]])
-        mu_floor = 1e-10 * diagonal.max()
+        mu_floor = 1e-10 * h.diagonal().max()
         damping = np.full(k, mu)
         if not at_floor:  # the (w, c) block may be singular; u keeps mu alone
             damping[: m + 1] = max(mu, mu_floor)

@@ -65,7 +65,8 @@ class TestAcceptance:
                     rng.standard_normal((rows, r))
                     @ rng.standard_normal((r, cols))
                 )
-            p = linalg.pinv(a)
+            # the pseudoinverse, one minimum-norm solve per column
+            p = np.column_stack([linalg.solve_min_norm(a, e) for e in np.eye(rows)])
             tol = 1e-9 * max(1.0, float(np.abs(a).max()))
             ok &= np.allclose(a @ p @ a, a, atol=tol)
             ok &= np.allclose(p @ a @ p, p, atol=tol)
