@@ -59,16 +59,19 @@ def loocv_fit(
     ``leave_one_out=True``.  For ols_closed_form and linear_intercept that
     gives every fold of every column from one SVD of the design, whatever
     its shape or rank (linalg.loo_min_norm), unless the accuracy guard
-    declines it.  Then, and for the other solvers, each fold of each column
-    is fit on its own.
+    declines it.  Then, and for the other solvers, each fold is fit on its
+    own, once per distinct column: columns with the same bytes (so -0.0 and
+    0.0 differ) share the folds of the first of them, as the actual and
+    normalized targets do when the overall mean equals the exam's.
 
     An entry whose signature takes start (nnls) is fit once to the full
-    cohort of each column when linalg.loo_full_column_rank certifies any
-    fold, and each certified fold, whose optimum is unique, starts from that
-    fit; the start changes the work, not the weights.  The other folds, and
-    every fold of a column whose full fit fails, start cold.  A fold's
-    ConvergenceError or DataError is re-raised with the fold in its message
-    and the target's column index in its ``column`` attribute.
+    cohort of each distinct column when linalg.loo_full_column_rank
+    certifies any fold, and each certified fold, whose optimum is unique,
+    starts from that fit; the start changes the work, not the weights.  The
+    other folds, and every fold of a column whose full fit fails, start
+    cold.  A fold's ConvergenceError or DataError is re-raised with the fold
+    in its message and, in its ``column`` attribute, the index of the first
+    column equal to the target that failed.
     """
     s = np.asarray(s, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -88,9 +91,13 @@ def loocv_fit(
         warm = np.zeros(n, dtype=bool)
         if "start" in parameters:
             warm = linalg.loo_full_column_rank(s)
-        columns = [
-            _fold_fits(s, targets[:, t], fitter, cfg, t, warm) for t in range(targets.shape[1])
-        ]
+        fits = {}  # a column's bytes -> the folds of the first column with them
+        columns = []
+        for t in range(targets.shape[1]):
+            key = targets[:, t].tobytes()
+            if key not in fits:
+                fits[key] = _fold_fits(s, targets[:, t], fitter, cfg, t, warm)
+            columns.append(fits[key])
     return [(folds, _average(folds)) for folds in columns]
 
 
@@ -184,7 +191,8 @@ def evaluate(
     """Mean-absolute-error comparison of all approaches on the chosen exam.
 
     Each approach is fit to every (scale, exclusion) target in one
-    loocv_fit call, so the minimum-norm solvers factor the design once.
+    loocv_fit call, so the minimum-norm solvers factor the design once and
+    the others fit equal targets once.
     """
     points = g.question_points(exam)  # raises DataError for an unknown exam
     s = g.exams[exam]

@@ -184,6 +184,14 @@ def _leverage_gaps(u, centered=False) -> tuple[np.ndarray, np.ndarray]:
     return resid_map, np.sum(resid_map * resid_map, axis=0)
 
 
+def _at_one(gap, n: int, p: int) -> np.ndarray:
+    """Per row j of an n-by-p design, whether 1 - h_jj is 0 to rounding: an
+    exact 0 comes out of rounding below this bound unless the design is
+    ill-conditioned.  A bound on rounding, so it does not follow the rank
+    cutoff."""
+    return gap <= (10 * max(n, p) * np.finfo(float).eps) ** 2
+
+
 def _keeps_rank(sigma, gap, rank_cutoff: float) -> np.ndarray:
     """Per row j, whether dropping it keeps all r = len(sigma) singular
     values above rank_cutoff times the largest: by interlacing, the r-th
@@ -199,9 +207,12 @@ def loo_full_column_rank(a) -> np.ndarray:
     p-th singular value exceeds the folds' own default_rank_cutoff(rows - 1,
     p) times its largest.  That cutoff is at least the one of a solve on
     any subset of a fold's columns, so no such solve of a certified fold
-    truncates its rank.  The test is conservative: a fold near the cutoff
-    may be of full rank and not certified.  When rows - 1 < p no fold is,
-    and no SVD is made.
+    truncates its rank.  A row whose 1 - h_jj is 0 to rounding (``_at_one``)
+    is alone in a direction of a's row space, so its fold loses rank; it is
+    not certified, though the rounded 1 - h_jj (near 1e-30) can pass the
+    bound.  The test is conservative: a fold near the cutoff may be of full
+    rank and not certified.  When rows - 1 < p no fold is, and no SVD is
+    made.
     """
     a = as_matrix(a)
     n, p = a.shape
@@ -211,7 +222,8 @@ def loo_full_column_rank(a) -> np.ndarray:
     u, sigma, _, _ = _truncated_svd(a, rank_cutoff)
     if len(sigma) < p:
         return np.zeros(n, dtype=bool)
-    return _keeps_rank(sigma, _leverage_gaps(u)[1], rank_cutoff)
+    gap = _leverage_gaps(u)[1]
+    return _keeps_rank(sigma, gap, rank_cutoff) & ~_at_one(gap, n, p)
 
 
 def loo_min_norm(a, ys, centered: bool = False):
@@ -263,9 +275,7 @@ def loo_min_norm(a, ys, centered: bool = False):
     x0 = pinv_t.T @ ys
     resid_map, gap = _leverage_gaps(u, centered)
     resid = resid_map @ ys
-    # an exact 0 comes out of rounding below this unless a is ill-conditioned;
-    # a bound on rounding, so it does not follow the rank cutoff
-    at_one = gap <= (10 * max(n, p) * np.finfo(float).eps) ** 2
+    at_one = _at_one(gap, n, p)
     gap[at_one] = 1.0
     col_sq = np.sum(pinv_t * pinv_t, axis=1)
     proj = (pinv_t @ x0) / np.where(at_one, col_sq, 1.0)[:, None]

@@ -644,13 +644,15 @@ def predict(sol: WeightSolution, s) -> np.ndarray:
     return sol.intercept + s @ sol.question_weights
 
 
-# Each entry is called as fitter(s, a, cfg) for one fit.  An entry whose
-# signature takes leave_one_out is first called once per leave-one-out run
-# by experiment.loocv_fit (the min-norm fitters answer it from one SVD of
-# any design), and per fold only when that returns None, as it does when
-# the accuracy guard declines the design.  An entry whose signature takes
-# start (fit_nnls) is fit once to the full cohort and then called once per
-# fold, with start= that fit on folds certified to keep full column rank.
+# Each entry is called as fitter(s, a, cfg) for one fit.  experiment.loocv_fit
+# fits each fold once per distinct target column: equal columns share one
+# set of fold fits.  An entry whose signature takes leave_one_out is first
+# called once per leave-one-out run, with every column (the min-norm
+# fitters answer it from one SVD of any design), and per fold only when
+# that returns None, as it does when the accuracy guard declines the
+# design.  An entry whose signature takes start (fit_nnls) is fit once to
+# the full cohort of each distinct column and then called once per fold,
+# with start= that fit on folds certified to keep full column rank.
 # A functools.wraps wrapper reports the signature of the fitter it wraps,
 # so it must pass these keywords through.
 #

@@ -9,14 +9,18 @@ from examweight import experiment, gradebook as gb, linalg, solvers, synthetic
 from examweight.errors import ConvergenceError
 
 
-def tall_linear_book(seed=3, n=12, m=4):
-    """Cohort whose components are an exact linear function of the exam."""
+def tall_linear_book(seed=3, n=12, m=4, homework_offset=0.0):
+    """Cohort whose components are an exact linear function of the exam.
+
+    With a nonzero homework_offset the overall mean is not the exam's, so
+    the normalized target is not the actual one."""
     rng = np.random.default_rng(seed)
     scores = rng.random((n, m))
     points = np.arange(1.0, m + 1)
     points *= 100.0 / points.sum()
     totals = scores @ points
     comps = {name: totals.copy() for name in gb.COMPONENTS}
+    comps["homework"] += homework_offset
     qs = tuple(
         gb.Question(id=f"Q{j + 1}", kind=gb.MULTIPLE_CHOICE, max_points=points[j])
         for j in range(m)
@@ -289,6 +293,115 @@ class TestSharedLoo:
         assert n > m
 
 
+def recording_entry(monkeypatch, solver):
+    """The target length and keywords of every call of a FITTERS entry,
+    through a wrapper that reports the entry's signature."""
+    seen = []
+    original = solvers.FITTERS[solver]
+
+    @functools.wraps(original)
+    def recording(s, a, cfg=solvers.DEFAULT_CONFIG, **kwargs):
+        seen.append((len(a), kwargs))
+        return original(s, a, cfg, **kwargs)
+
+    monkeypatch.setitem(solvers.FITTERS, solver, recording)
+    return seen
+
+
+def distinct_design():
+    """A tall design, a noisy target a, a zero in a[0], and b = 1.5 a."""
+    rng = np.random.default_rng(6)
+    s = rng.random((8, 5))
+    a = s @ (10 * rng.random(5)) + rng.standard_normal(8)
+    a[0] = 0.0
+    return s, a, 1.5 * a
+
+
+class TestDistinctTargets:
+    """Per-fold fits are made once per distinct target column, and every
+    equal column gets that column's folds."""
+
+    @pytest.mark.parametrize("solver", [solvers.HUBER, solvers.NNLS])
+    def test_equal_columns_share_one_fold_loop(self, monkeypatch, solver):
+        s, a, b = distinct_design()
+        calls = recording_entry(monkeypatch, solver)
+        alone, per_column = [], []
+        for col in (a, b):
+            del calls[:]
+            alone.append(experiment.loocv_fit(s, col[:, None], solver)[0])
+            per_column.append(len(calls))
+        del calls[:]
+        targets = np.column_stack([a, b, a, a])
+        fits = experiment.loocv_fit(s, targets, solver)
+        assert len(calls) == sum(per_column)
+        for (folds, avg), (want, want_avg) in zip(fits, [alone[0], alone[1], alone[0], alone[0]]):
+            for got, fold in zip(folds, want):
+                assert got.question_weights.tobytes() == fold.question_weights.tobytes()
+                assert got.intercept == fold.intercept
+            assert avg.question_weights.tobytes() == want_avg.question_weights.tobytes()
+
+    @pytest.mark.parametrize("solver", [solvers.HUBER, solvers.NNLS])
+    def test_a_column_one_ulp_or_a_sign_of_zero_away_is_fit_on_its_own(self, monkeypatch,
+                                                                        solver):
+        s, a, _ = distinct_design()
+        calls = recording_entry(monkeypatch, solver)
+        experiment.loocv_fit(s, a[:, None], solver)
+        one_loop = len(calls)
+        ulp, negative_zero = a.copy(), a.copy()
+        ulp[3] = np.nextafter(a[3], np.inf)
+        negative_zero[0] = -0.0
+        del calls[:]
+        experiment.loocv_fit(s, np.column_stack([a, ulp, negative_zero]), solver)
+        assert len(calls) == 3 * one_loop
+
+    def test_a_leave_one_out_entry_gets_every_column(self, monkeypatch):
+        s, a, b = distinct_design()
+        targets = np.column_stack([a, a, b])
+        original = solvers.FITTERS[solvers.OLS_CLOSED_FORM]
+        shared, per_fold = [], []
+
+        @functools.wraps(original)
+        def declining(s, ys, cfg, leave_one_out=False):
+            if leave_one_out:
+                shared.append(ys)
+                return None  # as the accuracy guard may
+            per_fold.append(ys)
+            return original(s, ys, cfg)
+
+        monkeypatch.setitem(solvers.FITTERS, solvers.OLS_CLOSED_FORM, declining)
+        fits = experiment.loocv_fit(s, targets, solvers.OLS_CLOSED_FORM)
+        assert len(shared) == 1 and shared[0] is targets
+        # the declined run falls back to one fold loop per distinct column
+        assert len(per_fold) == 2 * len(s)
+        assert fits[0][0] is fits[1][0]
+
+    def test_a_fold_error_names_the_first_equal_column(self, monkeypatch):
+        s, a, b = distinct_design()
+
+        def fails_on_a(s, y, cfg):
+            if np.array_equal(y, a[1:]):
+                raise ConvergenceError("boom")
+            return solvers.fit_nnls(s, y, cfg)
+
+        monkeypatch.setitem(solvers.FITTERS, "flaky", fails_on_a)
+        with pytest.raises(ConvergenceError, match="^fold 0: boom$") as info:
+            experiment.loocv_fit(s, np.column_stack([b, a, a]), "flaky")
+        assert info.value.column == 1
+
+        # tall_linear_book's two targets are one: its error names the first cell
+        calls = []
+
+        def fails(s, y, cfg):
+            calls.append(1)
+            raise ConvergenceError("boom")
+
+        monkeypatch.setitem(solvers.FITTERS, "flaky", fails)
+        with pytest.raises(ConvergenceError,
+                           match=r"^flaky \(actual, include_exam\): fold 0: boom$"):
+            experiment.evaluate(tall_linear_book(), "final", approaches=("flaky",))
+        assert calls == [1]
+
+
 TALL_40x32 = dict(seed=3, noise=4.0, students=40, mc_questions=16, tf_questions=8,
                  analytical_questions=4, analytical_subparts=8)
 
@@ -302,17 +415,7 @@ def cohort(spec, cells=((gb.ACTUAL_SCALE, gb.INCLUDE_EXAM),)):
 
 @pytest.fixture
 def nnls_calls(monkeypatch):
-    """The keywords of every call of the NNLS entry, through a wrapper."""
-    seen = []
-    original = solvers.FITTERS[solvers.NNLS]
-
-    @functools.wraps(original)
-    def recording(s, a, cfg=solvers.DEFAULT_CONFIG, **kwargs):
-        seen.append((len(a), kwargs))
-        return original(s, a, cfg, **kwargs)
-
-    monkeypatch.setitem(solvers.FITTERS, solvers.NNLS, recording)
-    return seen
+    return recording_entry(monkeypatch, solvers.NNLS)
 
 
 class TestWarmNnls:
@@ -350,7 +453,8 @@ class TestWarmNnls:
         n = len(s)
         assert not linalg.loo_full_column_rank(s).any()
         fits = experiment.loocv_fit(s, targets, solvers.NNLS)
-        assert nnls_calls == [(n - 1, {})] * (2 * n)
+        # both targets are one on the noiseless seed-7 cohort: one fold loop
+        assert nnls_calls == [(n - 1, {})] * (n if design == "paper_9x53" else 2 * n)
         for t, (folds, _) in enumerate(fits):
             for k, got in enumerate(folds):
                 cold = solvers.fit_nnls(np.delete(s, k, axis=0), np.delete(targets[:, t], k))
@@ -392,6 +496,21 @@ class TestWarmNnls:
         with pytest.raises(ConvergenceError, match="iteration cap"):
             solvers.fit_nnls(s[:4], a[:4], start=solvers.fit_nnls(s, a))
         [(folds, _)] = experiment.loocv_fit(s, a[:, None], solvers.NNLS)
+        for k, got in enumerate(folds):
+            cold = solvers.fit_nnls(np.delete(s, k, axis=0), np.delete(a, k))
+            np.testing.assert_array_equal(got.question_weights, cold.question_weights)
+
+    def test_a_fold_that_loses_rank_is_fit_cold(self, nnls_calls):
+        # rows 0 and 2 are equal, so fold 1 has rank 1 and its optimum is
+        # not unique: from the full fit's start it lands on (0.94, 0.76),
+        # cold on (1.55, 0)
+        s = np.random.default_rng(1304090).standard_normal((3, 2))
+        s[2] = s[0]
+        a = np.array([-4.0, 1.0, 1.0])
+        assert linalg.loo_full_column_rank(s).tolist() == [True, False, True]
+        [(folds, _)] = experiment.loocv_fit(s, a[:, None], solvers.NNLS)
+        assert [("start" in kwargs) for size, kwargs in nnls_calls if size == 2] == [
+            True, False, True]
         for k, got in enumerate(folds):
             cold = solvers.fit_nnls(np.delete(s, k, axis=0), np.delete(a, k))
             np.testing.assert_array_equal(got.question_weights, cold.question_weights)
@@ -552,7 +671,8 @@ class TestEvaluate:
         monkeypatch.setitem(solvers.FITTERS, "flaky", fails_on_second_target)
         with pytest.raises(ConvergenceError,
                            match=r"^flaky \(normalized, include_exam\): fold 0: boom$"):
-            experiment.evaluate(tall_linear_book(), "final", approaches=("flaky",))
+            experiment.evaluate(tall_linear_book(homework_offset=10.0), "final",
+                                approaches=("flaky",))
 
     def test_a_nan_gradient_norm_counts_as_far_from_stationary(self, monkeypatch):
         def nan_gradient(s, a, cfg):

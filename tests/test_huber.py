@@ -144,6 +144,12 @@ def seed7_huber_folds(cfg):
     return [f for rec in report.records for f in rec.fold_weights]
 
 
+def distinct_fits(folds):
+    """The fits among folds, each once: the seed-7 cohort's two targets are
+    one, and its records share one set of folds."""
+    return list({id(f): f for f in folds}.values())
+
+
 def ladder_huber_folds(students):
     """Every Huber fold of a noisy seed-3 cohort's LOOCV, 4 targets (both
     scales, both exclusions)."""
@@ -173,14 +179,14 @@ class TestStopReason:
 
         monkeypatch.setitem(solvers.FITTERS, solvers.HUBER, recording)
         seed7_huber_folds(solvers.DEFAULT_CONFIG)
-        assert len(fits) == 18
+        assert len(fits) == 9  # both scales' targets are one, fit once
         for a, sol in fits:
             assert sol.sigma == _SIGMA_FLOOR * np.max(np.abs(a))
             assert sol.stop_reason == solvers.STOP_GRADIENT
         # 586 when sigma approached the floor along u alone, 254 with the
         # floor as a bound before each step in u was bounded, 188 before the
-        # floor probe
-        assert sum(sol.iterations for _, sol in fits) <= 60
+        # floor probe, each over both targets' 18 fits
+        assert sum(sol.iterations for _, sol in fits) <= 30
 
     def test_seed7_evaluations_fall_and_repeat(self):
         totals = []
@@ -508,9 +514,11 @@ class TestFloorProbe:
         calls = []
         monkeypatch.setattr(solvers, "_floor_probe", lambda *args: calls.append(1))
         folds = seed7_huber_folds(solvers.DEFAULT_CONFIG)
-        assert calls
-        assert sum(f.iterations for f in folds) - len(calls) == 188
-        assert sum(f.evaluations for f in folds) - len(calls) == 362
+        fits = distinct_fits(folds)
+        assert calls and len(fits) == 9
+        # 188 and 362 over both targets' 18 fits
+        assert sum(f.iterations for f in fits) - len(calls) == 94
+        assert sum(f.evaluations for f in fits) - len(calls) == 181
         for got, want in zip(probed, folds):
             w = want.question_weights
             assert got.stop_reason == want.stop_reason == solvers.STOP_GRADIENT
@@ -519,10 +527,10 @@ class TestFloorProbe:
             assert got.sigma == want.sigma
 
     def test_seed7_folds_land_on_the_floor_by_a_probe(self, probes):
-        # one accepted probe per fold; where none is refused, it is the
+        # one accepted probe per fit; where none is refused, it is the
         # fold's second step, after its first Newton step
         folds = seed7_huber_folds(solvers.DEFAULT_CONFIG)
-        assert probes.count(True) == len(folds)
+        assert probes.count(True) == len(distinct_fits(folds)) == 9
         assert min(f.iterations for f in folds) == 2
 
     def test_ridgeless_and_tall_fits_never_probe(self, monkeypatch):

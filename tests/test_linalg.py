@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from examweight import linalg
 from examweight.errors import ConvergenceError
@@ -342,6 +342,8 @@ class TestLooFullColumnRank:
         st.integers(-3, 3),
         st.sampled_from(["plain", "repeated_row", "repeated_column", "scaled_column"]),
     )
+    # fold 1 loses rank, and rounding leaves its 1 - h_jj at 1.2e-30, not 0
+    @example(seed=1304090, n=3, extra=0, kind="repeated_row")
     @settings(max_examples=200, deadline=None)
     def test_matches_rank_of_each_fold(self, seed, n, extra, kind):
         # tall (extra < 0), square-fold and wide designs
