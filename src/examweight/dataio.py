@@ -257,9 +257,18 @@ def load_gradebook(fileset: GradebookFileSet, check_consistency: bool = True) ->
         qs = _load_questions(fileset.questions[exam])
         exam_students, matrix = _load_scores(fileset.scores[exam], tuple(q.id for q in qs))
         if set(exam_students) != set(students):
+            # the first student each side lacks, in the other side's order
+            firsts = [
+                f"{next(s for s in names if s not in others)!r} is not in {path}"
+                for names, others, path in (
+                    (students, set(exam_students), fileset.scores[exam]),
+                    (exam_students, set(students), fileset.components),
+                )
+                if not others.issuperset(names)
+            ]
             raise DataError(
                 f"{fileset.scores[exam]}: students disagree with "
-                f"{fileset.components}"
+                f"{fileset.components}: " + "; ".join(firsts)
             )
         perm = [exam_students.index(s) for s in students]
         exams[exam] = matrix[perm]

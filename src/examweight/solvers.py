@@ -35,9 +35,11 @@ STOP_ITERATION_CAP = "iteration_cap"
 # (max|a| = 1).  When the scale collapses (near-interpolable data, or more
 # than ~half the residuals in the absolute-loss regime) the objective tends
 # to an unsmoothed L1 limit; the floor fixes the residual smoothing width so
-# the problem stays well-posed and twice differentiable.  fit_huber treats
-# it as a bound that sigma can sit on, not a limit approached along u.
+# the problem stays well-posed and twice differentiable.  fit_huber steps in
+# log(sigma), where the floor is the plain bound _LOG_FLOOR; sigma is
+# exactly _SIGMA_FLOOR there.
 _SIGMA_FLOOR = 1e-4
+_LOG_FLOOR = float(np.log(_SIGMA_FLOOR))
 
 # fit_huber stops when the normalized objective's gradient norm falls below
 # this (stop reason "gradient").
@@ -192,17 +194,18 @@ def _loo_solutions(weights, intercepts) -> list[list[WeightSolution]]:
 
 def _huber_objective_and_grad(theta, s, a, eps, alpha):
     """(f, grad, point): the objective sum_i [sigma + H_eps(r_i/sigma) * sigma]
-    + alpha * ||w||^2 with sigma = floor + exp(u), theta = (w, c, u), its
-    gradient, and the point (z, quad, sigma, exp(u)) that _huber_hessian
-    reads: the scaled residuals z = r / sigma and which are in the quadratic
-    regime.  u = -inf puts sigma exactly on the floor, with a zero u gradient.
+    + alpha * ||w||^2 at theta = (w, c, log sigma), its projected gradient,
+    and the point (z, quad, sigma) that _huber_hessian reads: the scaled
+    residuals z = r / sigma and which are in the quadratic regime.
+
+    At the bound theta[-1] = _LOG_FLOOR, sigma is exactly _SIGMA_FLOOR, and
+    the gradient keeps sigma's entry only where it points above the floor:
+    where f's slope points below it, the entry is 0 (the KKT condition of
+    the bound, Bertsekas 1982).
     """
     n, m = s.shape
-    w, c, u = theta[:m], theta[m], theta[m + 1]
-    if u > 30.0:  # absurd scale for a normalized target; reject in line search
-        return np.inf, np.zeros(m + 2), None
-    exp_u = np.exp(u)
-    sigma = _SIGMA_FLOOR + exp_u
+    w, c, v = theta[:m], theta[m], theta[m + 1]
+    sigma = np.exp(v) if v > _LOG_FLOOR else _SIGMA_FLOOR
     r = a - c - s @ w
     z = r / sigma
     absz = np.abs(z)
@@ -214,8 +217,10 @@ def _huber_objective_and_grad(theta, s, a, eps, alpha):
     grad = np.empty(m + 2)
     grad[:m] = -(s.T @ hprime) + 2.0 * alpha * w
     grad[m] = -hprime.sum()
-    grad[m + 1] = (n - np.minimum(z * z, eps * eps).sum()) * exp_u
-    return f, grad, (z, quad, sigma, exp_u)
+    grad[m + 1] = (n - np.minimum(z * z, eps * eps).sum()) * sigma
+    if v <= _LOG_FLOOR:
+        grad[m + 1] = min(grad[m + 1], 0.0)
+    return f, grad, (z, quad, sigma)
 
 
 def _scale_minimizer(z, eps):
@@ -233,18 +238,18 @@ def _scale_minimizer(z, eps):
 
 
 def _huber_hessian(point, grad, s, alpha):
-    """PSD Hessian of the objective in theta = (w, c, u) at the point
-    _huber_objective_and_grad returned with grad.
+    """PSD Hessian of the objective in theta = (w, c, log sigma) at the
+    point _huber_objective_and_grad returned with grad.
 
     In (w, c, sigma) it is (2/sigma) * sum_quad v_i v_i^T with
     v_i = (x_i, 1, z_i), plus 2*alpha on the w block; rows in the
-    absolute-loss regime carry no curvature.  The map to u scales the last
-    coordinate by exp(u) and adds the gradient term to H_uu, clipped at zero
-    so the matrix stays positive semidefinite.
+    absolute-loss regime carry no curvature.  The map to log sigma scales
+    the last coordinate by sigma and adds the gradient term to its diagonal
+    entry, clipped at zero so the matrix stays positive semidefinite.
     """
-    z, quad, sigma, exp_u = point
+    z, quad, sigma = point
     m = s.shape[1]
-    v = np.column_stack([s[quad], np.ones(quad.sum()), z[quad] * exp_u])
+    v = np.column_stack([s[quad], np.ones(quad.sum()), z[quad] * sigma])
     h = (2.0 / sigma) * (v.T @ v)
     h[np.arange(m), np.arange(m)] += 2.0 * alpha
     h[m + 1, m + 1] += max(grad[m + 1], 0.0)
@@ -264,8 +269,8 @@ def _floor_holds(z, quad, eps) -> bool:
 
 def _floor_probe(theta, f, point, s, a, eps, alpha):
     """One Newton step of the floor's (w, c) model from theta, landing on
-    the floor (u = -inf): the point fit_huber accepts as (theta, f, grad,
-    point), or None if it refuses it.
+    the floor (log sigma = _LOG_FLOOR): the point fit_huber accepts as
+    (theta, f, grad, point), or None if it refuses it.
 
     The model keeps the regime of the current point: rows in the quadratic
     regime there are quadratic in (w, c) at sigma = floor, and the rest are
@@ -277,12 +282,10 @@ def _floor_probe(theta, f, point, s, a, eps, alpha):
     z, quad = point[0], point[1]
     r = a - theta[m] - s @ theta[:m]
     hprime = np.where(quad, 2.0 * r / _SIGMA_FLOOR, 2.0 * eps * np.sign(r))
-    g = np.zeros(m + 2)
-    g[:m] = -(s.T @ hprime) + 2.0 * alpha * theta[:m]
-    g[m] = -hprime.sum()
-    h = _huber_hessian((z, quad, _SIGMA_FLOOR, 0.0), g, s, alpha)[: m + 1, : m + 1]
+    g = np.concatenate([-(s.T @ hprime) + 2.0 * alpha * theta[:m], [-hprime.sum(), 0.0]])
+    h = _huber_hessian((z, quad, _SIGMA_FLOOR), g, s, alpha)[: m + 1, : m + 1]
     cand = theta.copy()
-    cand[m + 1] = -np.inf
+    cand[m + 1] = _LOG_FLOOR
     try:
         cand[: m + 1] += np.linalg.solve(h, -g[: m + 1])
     except np.linalg.LinAlgError:
@@ -298,12 +301,12 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
 
     Minimizes sum_i [sigma + H_eps(r_i/sigma) * sigma] + alpha * ||w||^2 over
     (weights, intercept, sigma > 0) by a damped Newton method on the
-    piecewise-quadratic objective: each step solves (H + mu*I) d = -g with
-    the analytic Hessian, and mu shrinks after a full step and grows after a
-    shortened one.  The target is normalized by max|a| internally (with
-    alpha rescaled so the objective is unchanged), keeping the iteration
-    scale-equivariant; the convergence test is on the normalized objective's
-    gradient norm.
+    piecewise-quadratic objective in theta = (w, c, log sigma): each step
+    solves (H + D) d = -g with the analytic Hessian, and the damping mu in D
+    shrinks after a full step and grows after a shortened one.  The target
+    is normalized by max|a| internally (with alpha rescaled so the objective
+    is unchanged), keeping the iteration scale-equivariant; the convergence
+    test is on the normalized objective's gradient norm.
 
     With a ridge (alpha > 0) every stationary w lies in the row space of
     S's nonzero columns (the representer theorem; Kimeldorf & Wahba 1971).
@@ -314,60 +317,62 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
     are the gradient norm and the stop rules.  A question no student scored
     on gets weight exactly 0.  At alpha = 0 the fit runs on S itself.
 
-    sigma >= floor * max|a| is a bound (Bertsekas, "Projected Newton methods
-    for optimization problems with simple constraints", 1982), and f is
-    convex in sigma with (w, c) held.  Each rule of the bound is stated
-    once:
+    sigma >= floor * max|a| is a plain bound on log sigma, handled as in a
+    projected Newton method (Bertsekas, "Projected Newton methods for
+    optimization problems with simple constraints", 1982), and f is convex
+    in sigma with (w, c) held:
 
+    * Held on the floor: sigma sits on the floor while f's slope points
+      below it.  The gradient then leaves sigma's entry out (so a fit stops
+      there on the KKT conditions), and the Newton step solves for (w, c)
+      alone, whose quadratic model is then exact while no row changes
+      regime.  A line-search trial below the floor is projected onto it.
     * The floor test (_floor_holds): the slope df/dsigma = n - sum_i
       min(z_i^2, eps^2) at the floor is nonnegative, so sigma's minimizer
       with (w, c) held lies on it, and the rows in the quadratic regime stay
       the same there.  When sigma is falling and the test holds at the
-      current (w, c), sigma moves exactly onto the floor (u = -inf), mu
-      resets to 0, and the Newton steps solve for (w, c) alone, whose
-      quadratic model is then exact while no row changes regime.  A sigma
-      that equals the floor in floating point is on it: u = -inf, and its u
-      gradient is 0.
-    * The scale move: when the gradient norm is below HUBER_TOLERANCE but
-      the slope in log(sigma), g_u * sigma / exp(u), is not, sigma moves to
-      its minimizer with (w, c) held, the root of the slope, or onto the
-      floor if that root lies below it; a sigma on the floor stays there.
-      On the floor exp(u) = 0, so this is the floor's KKT test: a fit stops
-      there only at a small (w, c) gradient and a nonnegative slope.  Off
-      it, the test keeps a sigma just above the floor from hiding its slope
-      behind exp(u) = sigma - floor.
+      current (w, c), sigma moves exactly onto the floor and mu resets to 0.
     * The floor probe (_floor_probe): the floor test sees only the current
-      (w, c), and the bounded u steps below carry a falling sigma down by at
+      (w, c), and the bounded steps below carry a falling sigma down by at
       most a factor of e per step.  So on the row-space route, when sigma is
       falling and the test fails after at least one accepted step, the fit
       tries one Newton solve of the floor's (w, c) model in the current
-      regime, landing at u = -inf, and keeps it if f falls strictly and the
-      floor test holds there for that regime; sigma then sits on the floor
-      with mu = 0.  A refused probe is not retried until the regime changes.
-      Each probe counts as a Newton solve and an evaluation, toward
+      regime, landing on the floor, and keeps it if f falls strictly and the
+      floor test holds there for that regime; mu then resets to 0.  A
+      refused probe is not retried until the regime changes.  Each probe
+      counts as a Newton solve and an evaluation, toward
       huber_max_iterations too.  For alpha > 0 the objective is jointly
       convex in (w, c, sigma), as a perspective function (Owen, "A robust
       hybrid of lasso and ridge regression", 2007), so the probe moves where
       the fit stops within the tolerance, not its minimizer.
+    * The scale move: when the gradient norm is below HUBER_TOLERANCE,
+      sigma moves to max(floor, its minimizer with (w, c) held) before the
+      fit stops, which costs an evaluation only if sigma changes.  A small
+      slope in log sigma can still leave f measurably above its minimum when
+      sigma is small, since f's curvature there is of order sigma.
 
-    Off the floor, each step is bounded in u, as a trust region bounds it
-    (More & Sorensen, "Computing a trust region step", 1983): a Newton step
-    with |d_u| > 1 is scaled by 1/|d_u|, so sigma changes by at most a
+    Each step is bounded in log sigma, as a trust region bounds it (More &
+    Sorensen, "Computing a trust region step", 1983): a Newton step with
+    |d_sigma| > 1 is scaled by 1/|d_sigma|, so sigma changes by at most a
     factor of e per step instead of the line search halving an overshoot
-    from far outside.  The damping of the (w, c) diagonal there is at least
-    1e-10 * max diag of the system solved (in y on the row-space route), and
-    u's is mu alone: at alpha = 0 on a wide design the w block is singular,
-    and once mu has decayed to 0 an undamped solve of it fails or returns a
-    useless step.  On the floor the (w, c) solve is damped by mu alone, so
-    its exact Newton steps land on the minimizer.
+    from far outside.  The (w, c) diagonal is damped by max(mu, 1e-10 * max
+    diag of the system solved) (in y on the row-space route), on the floor
+    and off it, and log sigma's by mu alone: at alpha = 0 on a wide design
+    the w block is singular, and once mu has decayed to 0 an undamped solve
+    of it fails or returns a useless step along its null space.  Held on
+    the floor, where the model is exact, the step is solved twice, the
+    second time with the first step as the damping's center (iterated
+    Tikhonov): that removes the damping's bias along every direction the
+    block does not nearly annihilate, so the step lands on the minimizer as
+    an undamped one would, and it at most doubles along a null space.
 
-    A step is accepted on an Armijo strict decrease, or when the objective
-    stays within its rounding error and the gradient norm falls, so f at the
-    accepted iterates is nonincreasing up to rounding.  That error is the
-    one the residuals carry into the sum, far above f's own spacing when
-    sigma is small: eps * sum_i |dH/dz_i| * (|a_i| + |c| + |x_i| . |w|), or
-    4 ulps of f if that is larger.  The fit reports why it stopped in
-    stop_reason:
+    A step is accepted on an Armijo strict decrease along the projected
+    step, or when the objective stays within its rounding error and the
+    gradient norm falls, so f at the accepted iterates is nonincreasing up
+    to rounding.  That error is the one the residuals carry into the sum,
+    far above f's own spacing when sigma is small: eps * sum_i |dH/dz_i| *
+    (|a_i| + |c| + |x_i| . |w|), or 4 ulps of f if that is larger.  The fit
+    reports why it stopped in stop_reason:
 
     * "gradient": the gradient norm fell below HUBER_TOLERANCE (converged);
     * "stalled": 60 step halvings found no acceptable point, and the step
@@ -384,15 +389,9 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
     n, m = s.shape
     eps = cfg.huber_epsilon
 
-    scale = float(np.max(np.abs(a)))
-    if scale == 0.0:
-        return WeightSolution(
-            question_weights=np.zeros(m),
-            intercept=0.0,
-            sigma=_SIGMA_FLOOR,
-            gradient_norm=0.0,
-            stop_reason=STOP_GRADIENT,
-        )
+    # a zero target is fit as it stands: sigma moves onto the floor, and the
+    # fit stops there with w = 0 and c = 0
+    scale = float(np.max(np.abs(a))) or 1.0
     at = a / scale
     # On the normalized problem the original objective becomes
     # scale * (huber part + alpha*scale*||w_t||^2), so alpha picks up a factor.
@@ -409,48 +408,33 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
 
     theta = np.zeros(m + 2)
     theta[m] = at.mean()
-    sigma0 = float(np.std(at - theta[m]))
-    theta[m + 1] = np.log(max(sigma0, 1e-3))
+    theta[m + 1] = np.log(_SIGMA_FLOOR + max(np.std(at - theta[m]), 1e-3))
 
     f, g, point = _huber_objective_and_grad(theta, s, at, eps, alpha)
     evaluations = 1
     gnorm = float(np.linalg.norm(g))
     mu = 0.0
     it = 0
-    at_floor = stepped = False
+    stepped = False
     refused = None  # the regime of the last refused floor probe
     abs_s = np.abs(s)
     while True:
-        u = None
+        z, quad, sigma = point
+        v = None
         probe = False
-        if not at_floor and point[2] == _SIGMA_FLOOR:
-            # sigma is the floor in floating point, and the u gradient has
-            # vanished with exp(u): sit on the floor, where KKT is tested
-            theta[m + 1], g[m + 1], at_floor, mu = -np.inf, 0.0, True, 0.0
-            gnorm = float(np.linalg.norm(g))
-        z, quad, sigma, _ = point
-        if not at_floor and g[m + 1] > 0.0:
+        if theta[m + 1] > _LOG_FLOOR and g[m + 1] > 0.0:  # sigma is falling
             if _floor_holds(z * (sigma / _SIGMA_FLOOR), quad, eps):
-                u = -np.inf
+                v = _LOG_FLOOR
             else:  # the floor may still hold a minimizer for another (w, c)
                 probe = basis is not None and stepped and not np.array_equal(quad, refused)
-        # (w, c) is stationary but sigma's slope in log(sigma) is not small,
-        # as on the floor, where exp(u) = 0: sigma moves to its minimizer
-        # with (w, c) held, and one on the floor stays there
-        if (u is None and gnorm < HUBER_TOLERANCE
-                and abs(g[m + 1]) * sigma >= HUBER_TOLERANCE * np.exp(theta[m + 1])):
-            above = _scale_minimizer(z, eps) * sigma - _SIGMA_FLOOR
-            if above > 0.0:
-                u = np.log(above)
-            elif not at_floor:
-                u = -np.inf
-        if u is not None:  # f falls, so the move needs no acceptance test
-            theta[m + 1] = u
+        if v is None and gnorm < HUBER_TOLERANCE:
+            v = np.log(max(_SIGMA_FLOOR, _scale_minimizer(z, eps) * sigma))
+        if v is not None and v != theta[m + 1]:  # f falls: no acceptance test
+            theta[m + 1] = v
             f, g, point = _huber_objective_and_grad(theta, s, at, eps, alpha)
             evaluations += 1
             gnorm = float(np.linalg.norm(g))
             mu = 0.0
-            at_floor = u == -np.inf
         if gnorm < HUBER_TOLERANCE:
             stop_reason = STOP_GRADIENT
             break
@@ -458,7 +442,7 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
             stop_reason = STOP_ITERATION_CAP
             break
         it += 1
-        if probe and u is None:  # a Newton solve and an evaluation of its own
+        if probe and v is None:  # a Newton solve and an evaluation of its own
             evaluations += 1
             landed = _floor_probe(theta, f, point, s, at, eps, alpha)
             if landed is None:
@@ -466,35 +450,34 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
             else:
                 theta, f, g, point = landed
                 gnorm = float(np.linalg.norm(g))
-                at_floor, mu = True, 0.0
+                mu = 0.0
             continue
-        # on the floor the Newton system is the (w, c) block alone
-        k = m + 1 if at_floor else m + 2
+        # held on the floor, the Newton system is the (w, c) block alone
+        k = m + 1 if theta[m + 1] == _LOG_FLOOR and g[m + 1] == 0.0 else m + 2
         h = _huber_hessian(point, g, s, alpha)[:k, :k]
         mu_floor = 1e-10 * h.diagonal().max()
-        damping = np.full(k, mu)
-        if not at_floor:  # the (w, c) block may be singular; u keeps mu alone
-            damping[: m + 1] = max(mu, mu_floor)
+        damping = np.full(k, max(mu, mu_floor))
+        damping[m + 1:] = mu  # log sigma's own entry, when free
         d = np.zeros(m + 2)
-        try:
-            d[:k] = np.linalg.solve(h + np.diag(damping), -g[:k])
+        try:  # held, the model is exact: a second solve undoes the damping's bias
+            for _ in range(2 if k == m + 1 else 1):
+                d[:k] = np.linalg.solve(h + np.diag(damping), damping * d[:k] - g[:k])
         except np.linalg.LinAlgError:
             d[:k] = -g[:k]
-        if not at_floor and abs(d[m + 1]) > 1.0:
+        if abs(d[m + 1]) > 1.0:
             d /= abs(d[m + 1])  # sigma changes by at most a factor of e
-        slope = g @ d
         # f's rounding error: that of the residuals it sums, or 4 ulps of f
-        z, quad = point[0], point[1]
         r_size = np.abs(at) + abs(theta[m]) + abs_s @ np.abs(theta[:m])
-        dh = np.where(quad, 2.0 * np.abs(z), 2.0 * eps)
+        dh = np.where(point[1], 2.0 * np.abs(point[0]), 2.0 * eps)
         noise = max(4.0 * np.spacing(f), np.finfo(float).eps * (dh @ r_size))
         t = 1.0
         for _ in range(60):
             cand = theta + t * d
+            cand[m + 1] = max(cand[m + 1], _LOG_FLOOR)  # a trial below the floor lands on it
             f_cand, g_cand, point_cand = _huber_objective_and_grad(cand, s, at, eps, alpha)
             evaluations += 1
             g_cand_norm = float(np.linalg.norm(g_cand))
-            if (f_cand < f and f_cand <= f + 1e-4 * t * slope) or (
+            if (f_cand < f and f_cand <= f + 1e-4 * (g @ (cand - theta))) or (
                 f_cand <= f + noise and g_cand_norm < gnorm
             ):
                 break

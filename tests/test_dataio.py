@@ -135,8 +135,21 @@ class TestLoaderErrors:
 
     def test_student_mismatch(self, tmp_path):
         fs = self.fileset(tmp_path, scores="student,Q1\nbetty,0.5\n")
-        with pytest.raises(DataError, match="students disagree"):
+        with pytest.raises(DataError, match="students disagree") as err:
             dataio.load_gradebook(fs)
+        # the first student missing from each side, named with that side's file
+        assert f"'al' is not in {fs.scores['final']}" in str(err.value)
+        assert f"'betty' is not in {fs.components}" in str(err.value)
+
+    def test_student_missing_from_one_side_only(self, tmp_path):
+        fs = self.fileset(
+            tmp_path,
+            components="student,homework,midterm,project,final\nal,50,50,50,50\n"
+            "cy,50,50,50,50\ndee,50,50,50,50\n",
+        )
+        with pytest.raises(DataError) as err:
+            dataio.load_gradebook(fs)
+        assert str(err.value).endswith(f": 'cy' is not in {fs.scores['final']}")
 
     def test_duplicate_student_in_scores(self, tmp_path):
         fs = self.fileset(tmp_path, scores="student,Q1\nal,0.5\nal,0.7\n")

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from examweight import experiment, gradebook as gb, solvers, synthetic
 from examweight.solvers import _SIGMA_FLOOR, SolverConfig, _huber_objective_and_grad
@@ -183,9 +183,9 @@ class TestStopReason:
         for a, sol in fits:
             assert sol.sigma == _SIGMA_FLOOR * np.max(np.abs(a))
             assert sol.stop_reason == solvers.STOP_GRADIENT
-        # 586 when sigma approached the floor along u alone, 254 with the
-        # floor as a bound before each step in u was bounded, 188 before the
-        # floor probe, each over both targets' 18 fits
+        # over both targets' 18 fits, in u = log(sigma - floor): 586 when
+        # sigma approached the floor along u alone, 254 with the floor as a
+        # bound before each step in u was bounded, 188 before the floor probe
         assert sum(sol.iterations for _, sol in fits) <= 30
 
     def test_seed7_evaluations_fall_and_repeat(self):
@@ -195,9 +195,9 @@ class TestStopReason:
             assert all(f.evaluations > f.iterations for f in folds)
             totals.append(sum(f.evaluations for f in folds))
         assert totals[0] == totals[1]
-        # 1580 when sigma approached the floor along u alone, 1266 before each
-        # step in u was bounded and the line search halved its overshoot, 362
-        # before the floor probe
+        # in u = log(sigma - floor): 1580 when sigma approached the floor
+        # along u alone, 1266 before each step in u was bounded and the line
+        # search halved its overshoot, 362 before the floor probe
         assert totals[0] <= 150
 
     @pytest.mark.parametrize("students, cap", [(20, 560), (30, 1150)])
@@ -243,9 +243,12 @@ class TestStopReason:
             assert sol.stop_reason == solvers.STOP_GRADIENT, seed
 
     def test_wide_designs_without_ridge_converge(self):
-        # alpha = 0 and n < m: with the (w, c) block undamped, these fits
-        # stalled with gradient norms from 11 to 27
-        for seed in WIDE_SEEDS:
+        # alpha = 0 and n < m: the w block is singular.  With the (w, c)
+        # block undamped everywhere, seeds 21, 40, 43, 46, 109 and 146
+        # stalled with gradient norms from 11 to 27; damped off the floor
+        # only, seeds 2, 3, 17, 38, 61, 68, 76, 100, 148, 179 and 199
+        # stalled or hit the cap
+        for seed in range(200):
             rng = np.random.default_rng(seed)
             s = rng.integers(0, 2, (8, 30)).astype(float)
             a = s @ rng.random(30) * 4 + 3 * rng.standard_normal(8)
@@ -320,8 +323,9 @@ def lbfgsb_oracle(s, a, eps, alpha):
 
 
 # A binary 23x16 design, one row a student, whose sigma optimum lies 5.4
-# times above the floor.  The bounded u steps carry sigma down to the floor
-# in floating point, where the u gradient vanishes with exp(u).
+# times above the floor.  The Newton steps keep asking sigma to fall: when
+# sigma stepped in log(sigma - floor), they carried it down one bounded step
+# at a time until it equaled the floor in floating point.
 FLOATING_FLOOR_SCORES = [
     "0101001100111011", "1101001011111101", "0000101101101010", "0010001111001110",
     "1011111110010011", "0010010000000000", "0011000100100111", "1001111101100001",
@@ -336,11 +340,6 @@ FLOATING_FLOOR_TARGET = [
     38.2738, 45.7036, 40.0567, 26.4223, 46.8981,
 ]
 
-# alpha = 0, n < m: seeds of an 8x30 binary design with noise 3 that stalled
-# far from stationary with the (w, c) block undamped
-WIDE_SEEDS = (21, 40, 43, 46, 109, 146)
-
-
 def oracle_design(case):
     """(s, a, cfg).  Seeds 0-2: tall designs with one outlier, sigma inside.
     "wide": an exactly interpolable design with n < m, sigma on the floor.
@@ -349,8 +348,8 @@ def oracle_design(case):
     noisy wide binary design with an all-zero column, sigma on the floor.
     "above_floor": near-exact rows and one outlier; the fit reaches the
     floor on its way, but sigma's optimum lies above it.  "floating_floor":
-    sigma reaches the floor in floating point along u, but its optimum lies
-    above it.  Cases 2 onward take a bounded first step in u."""
+    the steps keep asking sigma to fall, but its optimum lies above the
+    floor.  Cases 2 onward take a bounded first step in log sigma."""
     cfg = solvers.DEFAULT_CONFIG
     if case == "wide":
         rng = np.random.default_rng(0)
@@ -397,9 +396,33 @@ def test_weights_match_lbfgsb_oracle(case):
     assert sol.sigma == pytest.approx(sigma_o, rel=1e-6)
 
 
+def test_a_scale_pushed_below_its_optimum_takes_few_steps():
+    # the floor is a plain bound in log sigma: a trial below it lands on it,
+    # where f's slope turns sigma back up.  57 steps when sigma stepped in
+    # log(sigma - floor) and reached the floor only in floating point.
+    s, a, cfg = oracle_design("floating_floor")
+    sol = solvers.fit_huber(s, a, cfg)
+    assert sol.stop_reason == solvers.STOP_GRADIENT
+    assert sol.iterations <= 15
+
+
+@pytest.mark.parametrize("case", [
+    0, 1, 2, "wide", "repeated_student", "zero_column", "above_floor", "floating_floor",
+])
+def test_fits_stop_with_sigma_at_its_minimizer(case):
+    # before a fit stops, sigma moves to its minimizer with (w, c) held, or
+    # onto the floor: a slope in log sigma below the tolerance can still
+    # leave f measurably above its minimum when sigma is small
+    s, a, cfg = oracle_design(case)
+    sol = solvers.fit_huber(s, a, cfg)
+    z = (a - sol.intercept - s @ sol.question_weights) / sol.sigma
+    minimizer = solvers._scale_minimizer(z, cfg.huber_epsilon) * sol.sigma
+    assert sol.sigma == pytest.approx(max(_SIGMA_FLOOR * np.max(np.abs(a)), minimizer), rel=1e-12)
+
+
 @pytest.mark.parametrize("case", [2, "wide", "above_floor", "floating_floor"])
 def test_first_scale_step_is_bounded(case, monkeypatch):
-    # the Newton step wants |d_u| > 1; scaled to |d_u| = 1, sigma changes by
+    # the Newton step wants |d| > 1 in log sigma; scaled to 1, sigma changes by
     # at most a factor of e
     s, a, cfg = oracle_design(case)
     trials = []
@@ -446,6 +469,10 @@ def wide_ridge_design(seed, binary, zero_column, repeated_student, noisy=False):
 
 
 @settings(max_examples=60, deadline=None)
+# stopped 1.14e-10 (relative) above the oracle when sigma stepped in
+# log(sigma - floor)
+@example(seed=4193331672, alpha=1.0, binary=True, zero_column=False,
+         repeated_student=True, noisy=False)
 @given(
     seed=st.integers(0, 2**32 - 1),
     alpha=st.sampled_from([0.01, 0.1, 1.0]),
@@ -478,9 +505,10 @@ def test_wide_ridge_fits_reach_the_oracle_objective(seed, alpha, binary, zero_co
 
 @pytest.mark.parametrize("seed, binary", [(63, False), (747, True)])
 def test_sigma_just_above_the_floor_is_tested_in_log_sigma(seed, binary):
-    # sigma left the floor by a hair (exp(u) about 1e-13 of it for seed 63),
-    # and exp(u) then hid its slope from the u gradient: these fits stopped
-    # on "gradient" 4.3e-3 and 9.6e-8 (relative) above the minimum
+    # sigma left the floor by a hair (sigma - floor about 1e-13 of it for
+    # seed 63), and when the fit stepped in log(sigma - floor), that
+    # difference hid sigma's slope from the gradient: these fits stopped on
+    # "gradient" 4.3e-3 and 9.6e-8 (relative) above the minimum
     s, a = wide_ridge_design(seed, binary, zero_column=False, repeated_student=True)
     cfg = SolverConfig(huber_regularization=0.01)
     eps = cfg.huber_epsilon
@@ -516,9 +544,10 @@ class TestFloorProbe:
         folds = seed7_huber_folds(solvers.DEFAULT_CONFIG)
         fits = distinct_fits(folds)
         assert calls and len(fits) == 9
-        # 188 and 362 over both targets' 18 fits
-        assert sum(f.iterations for f in fits) - len(calls) == 94
-        assert sum(f.evaluations for f in fits) - len(calls) == 181
+        # 94 and 181 when sigma stepped in log(sigma - floor); 188 and 362
+        # before that, over both targets' 18 fits
+        assert sum(f.iterations for f in fits) - len(calls) == 97
+        assert sum(f.evaluations for f in fits) - len(calls) == 202
         for got, want in zip(probed, folds):
             w = want.question_weights
             assert got.stop_reason == want.stop_reason == solvers.STOP_GRADIENT
@@ -554,7 +583,7 @@ class TestFloorProbe:
 
     @pytest.mark.parametrize("seed, binary, noisy, outcomes", [
         (156, True, False, [False, False, False]),
-        (3, False, False, [False, True]),
+        (3, False, False, [False, False, False, True]),
         (0, False, True, [False, False, False]),
         (5, True, True, [False, True]),
     ], ids=["slope", "regime", "noisy_above", "noisy_floor"])
