@@ -223,20 +223,6 @@ def _huber_objective_and_grad(theta, s, a, eps, alpha):
     return f, grad, (z, quad, sigma)
 
 
-def _scale_minimizer(z, eps):
-    """The sigma, in units of the scale that gave z, that minimizes f with
-    (w, c) held: the root of n - sum_i min(z_i^2 / sigma^2, eps^2), found
-    among the counts of rows in the absolute-loss regime."""
-    q = np.sort(z * z)[::-1]
-    n = len(q)
-    room = n - eps * eps * np.arange(n)  # the rows after the first L are quadratic
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s2 = np.cumsum(q[::-1])[::-1] / room
-    bound = eps * eps * s2
-    fits = (room > 0) & (q <= bound) & (np.concatenate([[np.inf], q[:-1]]) > bound)
-    return float(np.sqrt(s2[np.argmax(fits)]))
-
-
 def _huber_hessian(point, grad, s, alpha):
     """PSD Hessian of the objective in theta = (w, c, log sigma) at the
     point _huber_objective_and_grad returned with grad.
@@ -345,11 +331,6 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
       convex in (w, c, sigma), as a perspective function (Owen, "A robust
       hybrid of lasso and ridge regression", 2007), so the probe moves where
       the fit stops within the tolerance, not its minimizer.
-    * The scale move: when the gradient norm is below HUBER_TOLERANCE,
-      sigma moves to max(floor, its minimizer with (w, c) held) before the
-      fit stops, which costs an evaluation only if sigma changes.  A small
-      slope in log sigma can still leave f measurably above its minimum when
-      sigma is small, since f's curvature there is of order sigma.
 
     Each step is bounded in log sigma, as a trust region bounds it (More &
     Sorensen, "Computing a trust region step", 1983): a Newton step with
@@ -375,15 +356,13 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
     reports why it stopped in stop_reason:
 
     * "gradient": the gradient norm fell below HUBER_TOLERANCE (converged);
-    * "stalled": 60 step halvings found no acceptable point, and the step
-      was already damped (a failed search with mu below the damping floor
-      is retried with mu raised to it);
+    * "stalled": 60 step halvings found no acceptable point;
     * "iteration_cap": huber_max_iterations Newton solves were made.
 
     Neither of the last two is fatal: the last accepted iterate, the best up
     to rounding, is returned with converged=False and its gradient norm.
-    evaluations counts every objective evaluation, line-search trials and
-    moves onto or off the floor included.
+    evaluations counts every objective evaluation: line-search trials, moves
+    onto the floor and floor probes.
     """
     s, a = _check_design(s, a)
     n, m = s.shape
@@ -420,21 +399,16 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
     abs_s = np.abs(s)
     while True:
         z, quad, sigma = point
-        v = None
         probe = False
         if theta[m + 1] > _LOG_FLOOR and g[m + 1] > 0.0:  # sigma is falling
             if _floor_holds(z * (sigma / _SIGMA_FLOOR), quad, eps):
-                v = _LOG_FLOOR
+                theta[m + 1] = _LOG_FLOOR  # f falls: no acceptance test
+                f, g, point = _huber_objective_and_grad(theta, s, at, eps, alpha)
+                evaluations += 1
+                gnorm = float(np.linalg.norm(g))
+                mu = 0.0
             else:  # the floor may still hold a minimizer for another (w, c)
                 probe = basis is not None and stepped and not np.array_equal(quad, refused)
-        if v is None and gnorm < HUBER_TOLERANCE:
-            v = np.log(max(_SIGMA_FLOOR, _scale_minimizer(z, eps) * sigma))
-        if v is not None and v != theta[m + 1]:  # f falls: no acceptance test
-            theta[m + 1] = v
-            f, g, point = _huber_objective_and_grad(theta, s, at, eps, alpha)
-            evaluations += 1
-            gnorm = float(np.linalg.norm(g))
-            mu = 0.0
         if gnorm < HUBER_TOLERANCE:
             stop_reason = STOP_GRADIENT
             break
@@ -442,7 +416,7 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
             stop_reason = STOP_ITERATION_CAP
             break
         it += 1
-        if probe and v is None:  # a Newton solve and an evaluation of its own
+        if probe:  # a Newton solve and an evaluation of its own
             evaluations += 1
             landed = _floor_probe(theta, f, point, s, at, eps, alpha)
             if landed is None:
@@ -483,13 +457,8 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
                 break
             t *= 0.5
         else:
-            if mu >= mu_floor:
-                stop_reason = STOP_STALLED
-                break
-            # A barely damped solve of a singular H can return a useless
-            # step; retry from the same point with the damping raised.
-            mu = max(4.0 * mu, mu_floor)
-            continue
+            stop_reason = STOP_STALLED
+            break
         mu = mu / 4.0 if t == 1.0 else max(4.0 * mu, mu_floor)
         theta, f, g, gnorm, point = cand, f_cand, g_cand, g_cand_norm, point_cand
         stepped = True

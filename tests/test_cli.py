@@ -83,6 +83,17 @@ class TestEvaluate:
             "final (normalized),1.2482,0.0000,0.8214,0.8220,0.3347,2.4819\r\n"
         )
 
+    def test_seed7_mae_table_without_ridge(self, files, capsys):
+        # at alpha = 0 the wide Huber minimizer is not unique, so its cell
+        # depends on the fit's path; the other cells ignore --alpha
+        code, out, err = run_cli(["evaluate", *gradebook_args(files), "--alpha", "0"], capsys)
+        assert (code, err) == (0, "")
+        assert out == (
+            "overall_score,uniform,actual,linear_intercept,huber,ols_closed_form,nnls\r\n"
+            "final (actual),1.2482,0.0000,0.8214,1.7657,0.3347,2.4819\r\n"
+            "final (normalized),1.2482,0.0000,0.8214,1.7657,0.3347,2.4819\r\n"
+        )
+
     def test_json_output_file(self, files, tmp_path, capsys):
         out_path = tmp_path / "report.json"
         code, _, _ = run_cli(

@@ -224,6 +224,28 @@ class TestLoaderErrors:
         with pytest.raises(DataError, match="^" + re.escape(message)):
             dataio.load_gradebook(fs)
 
+    @pytest.mark.parametrize("files, message", [
+        ({"scores": "student,Q1\n"}, "{s}: no students"),
+        ({"scores": "student,Q1\nal,0.5,0.7\n"}, "{s}: row 2: expected 2 fields, got 3"),
+        ({"questions": "id,kind,max_points,parent\nQ1,mc,100\n"},
+         "{q}: row 2: expected 4 fields, got 3"),
+        ({"questions": "id,kind,max_points,parent\n"}, "{q}: no questions"),
+        ({"scores": "student,Q1,Q9\nal,0.5,0.5\n"},
+         "{s}: unknown question ids in header: ['Q9']"),
+        ({"exam": "midterm"}, "scores and questions files must cover the same exams"),
+    ])
+    def test_rejection_messages(self, tmp_path, files, message):
+        fs = self.fileset(tmp_path, **{k: v for k, v in files.items() if k != "exam"})
+        if "exam" in files:  # the questions file is for another exam
+            fs = dataio.GradebookFileSet(
+                scores=fs.scores, questions={files["exam"]: fs.questions["final"]},
+                components=fs.components,
+            )
+        message = message.format(s=tmp_path / "s.csv", q=tmp_path / "q.csv")
+        with pytest.raises(DataError) as err:
+            dataio.load_gradebook(fs, check_consistency=False)
+        assert str(err.value) == message
+
     def test_consistency_check_applied(self, tmp_path):
         # final component 50 but actual exam total 100
         fs = self.fileset(tmp_path, scores="student,Q1\nal,1.0\n")

@@ -27,6 +27,9 @@ def single_exam_book(scores, points, components, kind=gb.MULTIPLE_CHOICE):
     )
 
 
+Q1, Q2 = (gb.Question(id=q, kind=gb.MULTIPLE_CHOICE, max_points=1.0) for q in ("Q1", "Q2"))
+
+
 def full_components(n, **overrides):
     comps = {name: np.full(n, 50.0) for name in gb.COMPONENTS}
     comps.update({k: np.asarray(v, dtype=float) for k, v in overrides.items()})
@@ -71,6 +74,23 @@ class TestGradebookValidation:
     def test_rejects_duplicate_students(self):
         with pytest.raises(DataError, match="duplicate student"):
             gb.Gradebook(students=("a", "a"))
+
+    @pytest.mark.parametrize("change, message", [
+        ({"students": ()}, "gradebook has no students"),
+        ({"questions": {}}, "exams and questions must cover the same exam ids"),
+        ({"questions": {"final": (Q1, Q1)}}, "exam 'final': duplicate question ids"),
+        ({"components": {"homework": [np.inf]}}, "component 'homework': values must be finite"),
+    ])
+    def test_rejection_messages(self, change, message):
+        fields = dict(
+            students=("s0",),
+            exams={"final": np.array([[0.5, 0.5]])},
+            questions={"final": (Q1, Q2)},
+            components=full_components(1),
+        )
+        with pytest.raises(DataError) as err:
+            gb.Gradebook(**{**fields, **change})
+        assert str(err.value) == message
 
     def test_rejects_nan(self):
         with pytest.raises(DataError, match="finite"):

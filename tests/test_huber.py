@@ -264,6 +264,7 @@ class TestStopReason:
         assert sol.stop_reason == solvers.STOP_STALLED
         assert not sol.converged
         assert sol.iterations < 50
+        assert sol.evaluations < 100  # one failed search of 60 trials
 
     def test_degenerate_epsilon_cohorts_never_hit_the_cap(self, monkeypatch):
         # the generator of acceptance criterion 4
@@ -394,6 +395,10 @@ def test_weights_match_lbfgsb_oracle(case):
     assert np.max(np.abs(sol.question_weights - w_o)) < 1e-6 * np.max(np.abs(w_o))
     assert sol.intercept == pytest.approx(c_o, rel=1e-6)
     assert sol.sigma == pytest.approx(sigma_o, rel=1e-6)
+    eps, alpha = cfg.huber_epsilon, cfg.huber_regularization
+    f = concomitant_objective(s, a, sol.question_weights, sol.intercept, sol.sigma, eps, alpha)
+    f_o = concomitant_objective(s, a, w_o, c_o, sigma_o, eps, alpha)
+    assert f <= f_o + 1e-12 * abs(f_o)
 
 
 def test_a_scale_pushed_below_its_optimum_takes_few_steps():
@@ -404,20 +409,6 @@ def test_a_scale_pushed_below_its_optimum_takes_few_steps():
     sol = solvers.fit_huber(s, a, cfg)
     assert sol.stop_reason == solvers.STOP_GRADIENT
     assert sol.iterations <= 15
-
-
-@pytest.mark.parametrize("case", [
-    0, 1, 2, "wide", "repeated_student", "zero_column", "above_floor", "floating_floor",
-])
-def test_fits_stop_with_sigma_at_its_minimizer(case):
-    # before a fit stops, sigma moves to its minimizer with (w, c) held, or
-    # onto the floor: a slope in log sigma below the tolerance can still
-    # leave f measurably above its minimum when sigma is small
-    s, a, cfg = oracle_design(case)
-    sol = solvers.fit_huber(s, a, cfg)
-    z = (a - sol.intercept - s @ sol.question_weights) / sol.sigma
-    minimizer = solvers._scale_minimizer(z, cfg.huber_epsilon) * sol.sigma
-    assert sol.sigma == pytest.approx(max(_SIGMA_FLOOR * np.max(np.abs(a)), minimizer), rel=1e-12)
 
 
 @pytest.mark.parametrize("case", [2, "wide", "above_floor", "floating_floor"])

@@ -94,6 +94,12 @@ class TestLinearIntercept:
         np.testing.assert_array_equal(sol.question_weights, 0.0)
         assert sol.intercept == pytest.approx(30.0)
 
+    def test_one_student_gets_zero_weights(self):
+        # one student centers to an empty design: the fit is its target
+        sol = solvers.fit_linear_intercept(np.array([[0.3, 0.9, 0.0]]), [42.5])
+        np.testing.assert_array_equal(sol.question_weights, 0.0)
+        assert sol.intercept == 42.5
+
     @given(st.integers(0, 300))
     @settings(max_examples=30, deadline=None)
     def test_residuals_sum_to_zero(self, seed):
