@@ -66,9 +66,13 @@ def loocv_fit(
 
     An entry whose signature takes start (nnls) is fit once to the full
     cohort of each distinct column when linalg.loo_full_column_rank
-    certifies any fold, and each certified fold, whose optimum is unique,
-    starts from that fit; the start changes the work, not the weights.  The
-    other folds, and every fold of a column whose full fit fails, start
+    certifies any fold, starting from the column's least-squares solution.
+    Each certified fold, whose optimum is unique, starts from its own
+    least-squares solution on the support of that fit, all of them from one
+    linalg.loo_min_norm; when its guard declines, or the support is empty,
+    they start from the full fit.  A start changes the work, not the
+    weights, and a fit whose start passes the iteration cap is refit cold.
+    The other folds, and every fold of a column whose full fit fails, start
     cold.  A fold's ConvergenceError or DataError is re-raised with the fold
     in its message and, in its ``column`` attribute, the index of the first
     column equal to the target that failed.
@@ -102,24 +106,45 @@ def loocv_fit(
 
 
 def _fold_fits(s, a, fitter, cfg, column, warm) -> list[WeightSolution]:
-    """Every fold's fit; fold k starts from the full cohort's fit if warm[k]."""
+    """Every fold's fit; fold k starts warm if warm[k] (``_warm_starts``)."""
     n = len(a)
-    start = None
+    starts = [None] * n
     if warm.any():
         try:
-            start = fitter(s, a, cfg)
+            starts = _warm_starts(s, a, fitter, cfg, warm)
         except ConvergenceError:
             pass  # every fold starts cold
     folds: list[WeightSolution] = []
     for k in range(n):
         keep = np.arange(n) != k
         try:
-            folds.append(_fit_fold(fitter, s[keep], a[keep], cfg, start if warm[k] else None))
+            folds.append(_fit_fold(fitter, s[keep], a[keep], cfg, starts[k]))
         except (ConvergenceError, DataError) as exc:
             err = _with_context(exc, f"fold {k}")
             err.column = column
             raise err from exc
     return folds
+
+
+def _warm_starts(s, a, fitter, cfg, warm) -> list[WeightSolution | None]:
+    """Per fold, its start, None unless warm[k]; raises ConvergenceError when
+    the full cohort's fit fails.
+
+    The full fit starts from the least-squares solution, by the Gram route
+    (no SVD).  Every fold's least-squares solution on that fit's support P,
+    zero off P, comes from one leave-one-out downdate; when its guard
+    declines, or P is empty, the folds start from the full fit.
+    """
+    ls = linalg.solve_min_norm(s, a, gram=s.T @ s)
+    full = _fit_fold(fitter, s, a, cfg, WeightSolution(question_weights=ls, intercept=0.0))
+    support = full.question_weights > 0
+    loo = linalg.loo_min_norm(s[:, support], a[:, None]) if support.any() else None
+    if loo is None:
+        return [full if w else None for w in warm]
+    weights = np.zeros((len(a), s.shape[1]))
+    weights[:, support] = loo[:, :, 0]
+    return [WeightSolution(question_weights=x, intercept=0.0) if w else None
+            for x, w in zip(weights, warm)]
 
 
 def _fit_fold(fitter, s, a, cfg, start) -> WeightSolution:

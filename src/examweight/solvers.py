@@ -487,11 +487,12 @@ def fit_nnls(
     the intercept is fixed at 0.  Candidate selection ties are broken toward
     the smallest column index for determinism.
 
-    With start, the fit of a nearby problem (experiment.loocv_fit passes
-    the full cohort's fit to a leave-one-out fold), the first passive set
-    is start's positive weights: the fit solves on it and drops the
-    nonpositive coordinates until the solution is feasible, then runs the
-    active-set loop from there (passive-set reuse, Bro & De Jong 1997).
+    With start, a guess at the answer (experiment.loocv_fit passes the full
+    cohort's fit its least-squares solution, and a leave-one-out fold its
+    own least-squares solution on the full fit's support), the first
+    passive set is start's positive weights: the fit solves on it and drops
+    the nonpositive coordinates until the solution is feasible, then runs
+    the active-set loop from there (passive-set reuse, Bro & De Jong 1997).
     Those solves count in iterations and toward the cap, and the stopping
     test on S^T (a - S w) is unchanged.  Where the optimum is unique, as
     when S has full column rank, the start therefore changes the work and
@@ -603,8 +604,11 @@ def predict(sol: WeightSolution, s) -> np.ndarray:
 # fitters answer it from one SVD of any design), and per fold only when
 # that returns None, as it does when the accuracy guard declines the
 # design.  An entry whose signature takes start (fit_nnls) is fit once to
-# the full cohort of each distinct column and then called once per fold,
-# with start= that fit on folds certified to keep full column rank.
+# the full cohort of each distinct column, with start= the column's
+# least-squares solution, and then called once per fold; a fold certified
+# to keep full column rank gets start= its least-squares solution on that
+# fit's support (or the full fit, when linalg.loo_min_norm declines).  A call
+# whose start passes the cap is repeated without it.
 # A functools.wraps wrapper reports the signature of the fitter it wraps,
 # so it must pass these keywords through.
 #

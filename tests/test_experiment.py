@@ -2,7 +2,7 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from examweight import experiment, gradebook as gb, linalg, solvers, synthetic
@@ -79,8 +79,9 @@ class TestLoocvFit:
             experiment.evaluate(tall_linear_book(), "final", approaches=("foo",))
 
     def test_fold_errors_name_the_fold(self, monkeypatch):
+        # with a cap of 0 every fit fails at its first solve, warm or cold
         s = np.random.default_rng(1).random((6, 5)) + 1.0
-        monkeypatch.setattr(solvers, "nnls_iteration_cap", lambda n_questions: 1)
+        monkeypatch.setattr(solvers, "nnls_iteration_cap", lambda n_questions: 0)
         with pytest.raises(ConvergenceError, match="fold 0"):
             experiment.loocv_fit(s, np.ones((6, 1)), solvers.NNLS)
 
@@ -418,9 +419,56 @@ def nnls_calls(monkeypatch):
     return recording_entry(monkeypatch, solvers.NNLS)
 
 
+def recording_fits(monkeypatch):
+    """The target length, keywords and return value of every NNLS entry call
+    that returns."""
+    seen = []
+    original = solvers.FITTERS[solvers.NNLS]
+
+    @functools.wraps(original)
+    def recording(s, a, cfg=solvers.DEFAULT_CONFIG, **kwargs):
+        sol = original(s, a, cfg, **kwargs)
+        seen.append((len(a), kwargs, sol))
+        return sol
+
+    monkeypatch.setitem(solvers.FITTERS, solvers.NNLS, recording)
+    return seen
+
+
+@st.composite
+def tall_nnls_problem(draw):
+    """A tall design (m <= 12 questions, m + 1 to 3m students) and a target:
+    scores in [0, 1) or Gaussian, optionally with a near-collinear column
+    pair or a repeated row; the target is noisy, nearly a sparse nonnegative
+    combination, or <= 0 on scores, whose support is then empty.
+
+    The pair differs by up to 1e-4: at 1e-5 (condition numbers near 1e6) a
+    cold fit can stop within NNLS_TOLERANCE of a point off the unique
+    optimum, where a warm one reaches the optimum itself."""
+    m = draw(st.integers(1, 12))
+    n = draw(st.integers(m + 1, 3 * m))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["noisy", "sparse", "nonpositive"]))
+    gaussian = kind != "nonpositive" and draw(st.booleans())
+    s = rng.standard_normal((n, m)) if gaussian else rng.random((n, m))
+    if m >= 2 and draw(st.booleans()):
+        s[:, 1] = s[:, 0] + 1e-4 * rng.random(n)
+    if draw(st.booleans()):
+        s[-1] = s[0]
+    if kind == "noisy":
+        a = s @ rng.standard_normal(m) + rng.standard_normal(n)
+    elif kind == "sparse":
+        w = 10 * rng.random(m) * (rng.random(m) < 0.3)
+        a = s @ w + 0.01 * rng.standard_normal(n)
+    else:
+        a = -rng.random(n) * draw(st.sampled_from([0.0, 1.0]))
+    return s, a
+
+
 class TestWarmNnls:
-    """Full-rank NNLS folds start from the full cohort's fit, and give the
-    weights of a cold per-fold fit."""
+    """When a fold keeps full column rank, the full cohort's NNLS fit and
+    each such fold start at their least-squares support, and give the
+    weights of a cold fit."""
 
     @pytest.mark.parametrize("spec", [TALL_40x32, dict(seed=3, noise=4.0, students=60)],
                              ids=["40x32", "60x53"])
@@ -430,9 +478,9 @@ class TestWarmNnls:
         n = len(s)
         assert linalg.loo_full_column_rank(s).all()
         fits = experiment.loocv_fit(s, targets, solvers.NNLS)
-        # per column: one full-cohort fit, then every fold with its start
+        # per column: one full-cohort fit, then every fold, each with its start
         assert [size for size, _ in nnls_calls] == [n, *[n - 1] * n] * 2
-        assert all("start" in kwargs for size, kwargs in nnls_calls if size == n - 1)
+        assert all("start" in kwargs for _, kwargs in nnls_calls)
         for t, (folds, avg) in enumerate(fits):
             for k, got in enumerate(folds):
                 cold = solvers.fit_nnls(np.delete(s, k, axis=0), np.delete(targets[:, t], k))
@@ -462,11 +510,13 @@ class TestWarmNnls:
 
     def test_svd_budget_on_the_tall_bench_cohort(self, svd_calls):
         # every one of 862 passive solves was once an SVD; the warm start
-        # cut them to 98, and the Gram route to none: the one SVD left is
-        # the full-column-rank certificate
+        # cut them to 98, the least-squares starts to 57, and the Gram route
+        # makes none an SVD: the two SVDs left are the full-column-rank
+        # certificate and the folds' downdate on the full fit's support
         s, targets = cohort(TALL_40x32)
         experiment.loocv_fit(s, targets, solvers.NNLS)
-        assert svd_calls == [s.shape]
+        support = solvers.fit_nnls(s, targets[:, 0]).question_weights > 0
+        assert svd_calls == [s.shape, (len(s), support.sum())]
 
     def test_a_failed_start_fit_leaves_the_folds_cold(self, monkeypatch, nnls_calls):
         s, targets = cohort(TALL_40x32)
@@ -514,6 +564,69 @@ class TestWarmNnls:
         for k, got in enumerate(folds):
             cold = solvers.fit_nnls(np.delete(s, k, axis=0), np.delete(a, k))
             np.testing.assert_array_equal(got.question_weights, cold.question_weights)
+
+    @given(tall_nnls_problem())
+    @settings(max_examples=150, deadline=None)
+    def test_warm_fits_equal_cold_fits(self, problem):
+        s, a = problem
+        n = len(a)
+        warm = linalg.loo_full_column_rank(s)
+        assume(warm.any())
+        with pytest.MonkeyPatch.context() as patch:
+            calls = recording_fits(patch)
+            [(folds, _)] = experiment.loocv_fit(s, a[:, None], solvers.NNLS)
+        [full] = [sol for size, _, sol in calls if size == n]
+        cold = solvers.fit_nnls(s, a)
+        np.testing.assert_array_equal(full.question_weights, cold.question_weights)
+        assert [("start" in kwargs) for size, kwargs, _ in calls if size == n - 1] == list(warm)
+        for k, got in enumerate(folds):
+            cold = solvers.fit_nnls(np.delete(s, k, axis=0), np.delete(a, k))
+            np.testing.assert_array_equal(got.question_weights, cold.question_weights)
+
+    def test_a_declined_downdate_starts_the_folds_from_the_full_fit(self, monkeypatch):
+        s, targets = cohort(TALL_40x32)
+        n = len(s)
+        monkeypatch.setattr(linalg, "loo_min_norm", lambda a, ys, centered=False: None)
+        calls = recording_fits(monkeypatch)
+        [(folds, _)] = experiment.loocv_fit(s, targets, solvers.NNLS)
+        [full] = [sol for size, _, sol in calls if size == n]
+        assert all(kwargs["start"] is full for size, kwargs, _ in calls if size == n - 1)
+        for k, got in enumerate(folds):
+            cold = solvers.fit_nnls(np.delete(s, k, axis=0), np.delete(targets[:, 0], k))
+            np.testing.assert_array_equal(got.question_weights, cold.question_weights)
+
+    def test_a_full_fit_whose_start_passes_the_cap_is_fit_cold(self, monkeypatch, nnls_calls):
+        # the cold full fit and every cold fold take 1 solve; from its
+        # least-squares start the full fit takes 2
+        s = np.array([[-0.005, -0.532, -2.277], [0.019, 0.927, 1.043],
+                      [-0.536, 2.229, 1.944], [-0.228, -0.155, 0.959],
+                      [-0.255, 0.225, 1.22]])
+        a = np.array([2.379, -1.06, -0.911, -1.098, -0.028])
+        monkeypatch.setattr(solvers, "nnls_iteration_cap", lambda n_questions: 1)
+        assert linalg.loo_full_column_rank(s).all()
+        ls = solvers.WeightSolution(question_weights=np.linalg.lstsq(s, a)[0], intercept=0.0)
+        with pytest.raises(ConvergenceError, match="iteration cap"):
+            solvers.fit_nnls(s, a, start=ls)
+        [(folds, _)] = experiment.loocv_fit(s, a[:, None], solvers.NNLS)
+        assert [("start" in kwargs) for size, kwargs in nnls_calls if size == len(a)] == [
+            True, False]
+        for k, got in enumerate(folds):
+            cold = solvers.fit_nnls(np.delete(s, k, axis=0), np.delete(a, k))
+            np.testing.assert_array_equal(got.question_weights, cold.question_weights)
+
+    @pytest.mark.parametrize("spec", [TALL_40x32, dict(seed=3, noise=4.0, students=60)],
+                             ids=["40x32", "60x53"])
+    def test_averaged_weights_do_not_depend_on_order(self, spec):
+        s, targets = cohort(spec)
+        [(_, want)] = experiment.loocv_fit(s, targets, solvers.NNLS)
+        w = want.question_weights
+        rng = np.random.default_rng(23)
+        for _ in range(10):
+            rows, cols = rng.permutation(s.shape[0]), rng.permutation(s.shape[1])
+            [(_, got)] = experiment.loocv_fit(s[rows][:, cols], targets[rows], solvers.NNLS)
+            moved = np.empty_like(w)
+            moved[cols] = got.question_weights
+            assert np.abs(moved - w).max() <= 1e-10 * np.abs(w).max()
 
     def test_a_fitter_without_start_is_not_certified(self, monkeypatch, svd_calls):
         s, targets = cohort(TALL_40x32)
@@ -650,7 +763,7 @@ class TestEvaluate:
             experiment.evaluate(tall_linear_book(), "midterm")
 
     def test_cell_errors_name_the_cell_and_fold(self, monkeypatch):
-        monkeypatch.setattr(solvers, "nnls_iteration_cap", lambda n_questions: 1)
+        monkeypatch.setattr(solvers, "nnls_iteration_cap", lambda n_questions: 0)
         with pytest.raises(ConvergenceError, match=r"nnls \(actual, include_exam\): fold 0"):
             experiment.evaluate(
                 tall_linear_book(), "final",
