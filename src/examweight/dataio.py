@@ -339,8 +339,8 @@ def weight_rows(report: EvaluationReport) -> list[list[str]]:
     rows = []
     for rec in report.records:
         scale = _scale_label(rec.scale, rec.exclusion)
-        for qid, w in zip(report.question_ids, rec.averaged_weights.question_weights):
-            rows.append([report.exam, rec.approach, scale, qid, repr(float(w))])
+        for qid, w in zip(report.question_ids, rec.averaged_weights.question_weights.tolist()):
+            rows.append([report.exam, rec.approach, scale, qid, repr(w)])
         rows.append([report.exam, rec.approach, scale, "_intercept",
                      repr(float(rec.averaged_weights.intercept))])
     return rows

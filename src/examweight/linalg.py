@@ -23,6 +23,8 @@ Intended scale is desk-size problems (up to a few hundred rows/columns).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ConvergenceError
@@ -35,7 +37,7 @@ def as_matrix(a) -> np.ndarray:
         raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
     if m.size == 0:
         raise ValueError("matrix must be nonempty")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -45,7 +47,7 @@ def as_vector(y) -> np.ndarray:
     v = np.asarray(y, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got ndim={v.ndim}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     return v
 
@@ -92,6 +94,11 @@ def _truncated_svd(a, rank_cutoff: float | None = None):
 # repeated-row designs with up to 15 rows, the error against the per-fold
 # solve was at most 2.1e-12.
 LOO_RTOL = 1e-11
+
+# _gram_solve's bounds as Python floats: each passive solve of fit_nnls
+# tests them, and a float comparison costs less than a numpy one.
+_EPS = float(np.finfo(float).eps)
+_SQRT_LOO_RTOL = math.sqrt(LOO_RTOL)
 
 
 def solve_min_norm(a, y, gram=None) -> np.ndarray:
@@ -150,13 +157,13 @@ def _gram_solve(a, y, gram):
     x = g_inv @ (a.T @ y)
     r = y - a @ x
     d = g_inv @ (a.T @ r)
-    t = np.finfo(float).eps * np.sqrt(np.vdot(gram, gram) * np.vdot(g_inv, g_inv))
-    xx, dd = x @ x, d @ d  # squared norms, as are the bounds below
+    t = _EPS * math.sqrt(np.vdot(gram, gram) * np.vdot(g_inv, g_inv))
+    xx, dd = float(x @ x), float(d @ d)  # squared norms, as are the bounds below
     if (
-        np.isfinite(dd)
-        and t <= np.sqrt(LOO_RTOL)
+        math.isfinite(dd)
+        and t <= _SQRT_LOO_RTOL
         and dd <= LOO_RTOL * xx
-        and t * t * (r @ r) <= LOO_RTOL**2 * gram.diagonal().max() * xx
+        and t * t * float(r @ r) <= LOO_RTOL**2 * float(gram.diagonal().max()) * xx
     ):
         return x + d
     return None

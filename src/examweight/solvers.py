@@ -12,6 +12,7 @@ questions); weights therefore carry units of points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,14 +211,16 @@ def _huber_objective_and_grad(theta, s, a, eps, alpha):
     z = r / sigma
     absz = np.abs(z)
     quad = absz <= eps
-    h = np.where(quad, z * z, 2.0 * eps * absz - eps * eps)
+    # z clipped to the linear regime: dH/dz = 2 zc, and zc^2 = min(z^2, eps^2)
+    zc = np.clip(z, -eps, eps)
+    zc2 = zc * zc
+    h = np.where(quad, zc2, 2.0 * eps * absz - eps * eps)
     f = n * sigma + sigma * h.sum() + alpha * (w @ w)
-    # dH/dz clipped to the linear regime; d(term)/d(sigma) = 1 - min(z^2, eps^2)
-    hprime = np.where(quad, 2.0 * z, 2.0 * eps * np.sign(z))
+    hprime = 2.0 * zc
     grad = np.empty(m + 2)
     grad[:m] = -(s.T @ hprime) + 2.0 * alpha * w
     grad[m] = -hprime.sum()
-    grad[m + 1] = (n - np.minimum(z * z, eps * eps).sum()) * sigma
+    grad[m + 1] = (n - zc2.sum()) * sigma  # d(term)/d(sigma) = 1 - min(z^2, eps^2)
     if v <= _LOG_FLOOR:
         grad[m + 1] = min(grad[m + 1], 0.0)
     return f, grad, (z, quad, sigma)
@@ -248,9 +251,7 @@ def _floor_holds(z, quad, eps) -> bool:
     quadratic regime there.  f is convex in sigma, so the first holds when
     the floor's slope df/dsigma = n - sum_i min(z_i^2, eps^2) is
     nonnegative."""
-    return len(z) >= np.minimum(z * z, eps * eps).sum() and np.array_equal(
-        np.abs(z) <= eps, quad
-    )
+    return len(z) >= np.minimum(z * z, eps * eps).sum() and ((np.abs(z) <= eps) == quad).all()
 
 
 def _floor_probe(theta, f, point, s, a, eps, alpha):
@@ -391,7 +392,7 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
 
     f, g, point = _huber_objective_and_grad(theta, s, at, eps, alpha)
     evaluations = 1
-    gnorm = float(np.linalg.norm(g))
+    gnorm = math.sqrt(g @ g)
     mu = 0.0
     it = 0
     stepped = False
@@ -405,7 +406,7 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
                 theta[m + 1] = _LOG_FLOOR  # f falls: no acceptance test
                 f, g, point = _huber_objective_and_grad(theta, s, at, eps, alpha)
                 evaluations += 1
-                gnorm = float(np.linalg.norm(g))
+                gnorm = math.sqrt(g @ g)
                 mu = 0.0
             else:  # the floor may still hold a minimizer for another (w, c)
                 probe = basis is not None and stepped and not np.array_equal(quad, refused)
@@ -423,7 +424,7 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
                 refused = point[1]
             else:
                 theta, f, g, point = landed
-                gnorm = float(np.linalg.norm(g))
+                gnorm = math.sqrt(g @ g)
                 mu = 0.0
             continue
         # held on the floor, the Newton system is the (w, c) block alone
@@ -433,9 +434,10 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
         damping = np.full(k, max(mu, mu_floor))
         damping[m + 1:] = mu  # log sigma's own entry, when free
         d = np.zeros(m + 2)
+        h += np.diag(damping)
         try:  # held, the model is exact: a second solve undoes the damping's bias
             for _ in range(2 if k == m + 1 else 1):
-                d[:k] = np.linalg.solve(h + np.diag(damping), damping * d[:k] - g[:k])
+                d[:k] = np.linalg.solve(h, damping * d[:k] - g[:k])
         except np.linalg.LinAlgError:
             d[:k] = -g[:k]
         if abs(d[m + 1]) > 1.0:
@@ -450,7 +452,7 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
             cand[m + 1] = max(cand[m + 1], _LOG_FLOOR)  # a trial below the floor lands on it
             f_cand, g_cand, point_cand = _huber_objective_and_grad(cand, s, at, eps, alpha)
             evaluations += 1
-            g_cand_norm = float(np.linalg.norm(g_cand))
+            g_cand_norm = math.sqrt(g_cand @ g_cand)
             if (f_cand < f and f_cand <= f + 1e-4 * (g @ (cand - theta))) or (
                 f_cand <= f + noise and g_cand_norm < gnorm
             ):
@@ -506,6 +508,10 @@ def fit_nnls(
     singular.  This holds for a wide S too: Lawson-Hanson keeps the passive
     columns linearly independent (Lawson & Hanson 1974, ch. 23), so a
     passive block of a wide design is as usable as one of a tall design.
+
+    Raises ConvergenceError past the cap, and when the largest gradient
+    entry of the weights held at zero is not finite, as when S^T a
+    overflows.
     """
     s, a = _check_design(s, a)
     m = s.shape[1]
@@ -522,7 +528,8 @@ def fit_nnls(
         if iterations > max_iter:
             raise ConvergenceError(f"NNLS exceeded iteration cap of {max_iter}")
         z = np.zeros(m)
-        z[passive] = linalg.solve_min_norm(s[:, passive], a, gram=gram[passive][:, passive])
+        cols = passive.nonzero()[0]
+        z[cols] = linalg.solve_min_norm(s[:, cols], a, gram=gram.take(cols, 0).take(cols, 1))
         return z
 
     if start is not None:
@@ -543,10 +550,14 @@ def fit_nnls(
         if not inactive.any():
             break
         wmax = grad[inactive].max()
+        if not math.isfinite(wmax):  # S^T a or S w overflowed
+            raise ConvergenceError(
+                f"NNLS gradient S^T (a - S w) is not finite: {wmax} at the weights held at zero"
+            )
         if wmax <= NNLS_TOLERANCE:
             break
-        candidates = np.flatnonzero(inactive & (grad >= wmax - NNLS_TOLERANCE))
-        passive[candidates[0]] = True
+        # the first column whose gradient is within NNLS_TOLERANCE of the largest
+        passive[(inactive & (grad >= wmax - NNLS_TOLERANCE)).argmax()] = True
         while True:
             z = passive_solve()
             if z[passive].min() > 0.0:

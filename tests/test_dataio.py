@@ -246,6 +246,39 @@ class TestLoaderErrors:
             dataio.load_gradebook(fs, check_consistency=False)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("body, message", [
+        # in one row, the first bad cell from the left, range or parse
+        ("al,1.5,oops\n", "row 2, column 'Q1': fractional score 1.5 outside [0, 1]"),
+        ("al,oops,1.5\n", "row 2, column 'Q1': not a number: 'oops'"),
+        ("al,nan,oops\n", "row 2, column 'Q1': fractional score nan outside [0, 1]"),
+        ("al,0.5,-0.5\n", "row 2, column 'Q2': fractional score -0.5 outside [0, 1]"),
+        # a bad cell wins over a fault further down, and loses to one above
+        ("al,0.5,2\nbo,0.5\n", "row 2, column 'Q2': fractional score 2.0 outside [0, 1]"),
+        ("al,0.5,x\nbo,0.5\n", "row 2, column 'Q2': not a number: 'x'"),
+        ("al,2,0.5\nal,0.5,0.5\n", "row 2, column 'Q1': fractional score 2.0 outside [0, 1]"),
+        ("al,0.5\nbo,2,0.5\n", "row 2: expected 3 fields, got 2"),
+        ("al,0.5,0.5\nal,x,0.5\n", "row 3: duplicate student 'al' (first on row 2)"),
+        ("al,0.5,0.5\nbo,0.5,inf\n", "row 3, column 'Q2': fractional score inf outside [0, 1]"),
+    ])
+    def test_first_fault_in_a_scores_table_is_reported(self, tmp_path, body, message):
+        fs = self.fileset(
+            tmp_path, scores="student,Q1,Q2\n" + body,
+            questions="id,kind,max_points,parent\nQ1,mc,50,\nQ2,mc,50,\n",
+        )
+        with pytest.raises(DataError) as err:
+            dataio.load_gradebook(fs, check_consistency=False)
+        assert str(err.value) == f"{tmp_path / 's.csv'}: {message}"
+
+    def test_first_fault_in_a_components_table_is_reported(self, tmp_path):
+        fs = self.fileset(tmp_path, components=(
+            "student,homework,midterm,project,final\nal,50,101,x,50\nbo,50,50\n"
+        ))
+        with pytest.raises(DataError) as err:
+            dataio.load_gradebook(fs, check_consistency=False)
+        assert str(err.value) == (
+            f"{tmp_path / 'c.csv'}: row 2, column 'midterm': component score 101.0 outside [0, 100]"
+        )
+
     def test_consistency_check_applied(self, tmp_path):
         # final component 50 but actual exam total 100
         fs = self.fileset(tmp_path, scores="student,Q1\nal,1.0\n")

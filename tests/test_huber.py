@@ -137,6 +137,86 @@ class TestFitHuber:
             assert (fp - fm) / (2 * step) == pytest.approx(g[i], rel=1e-4, abs=1e-6)
 
 
+def reference_objective_and_grad(theta, s, a, eps, alpha):
+    """_huber_objective_and_grad in its plain form, one numpy call per term:
+    the reference the solver's form must match bit for bit."""
+    n, m = s.shape
+    w, c, v = theta[:m], theta[m], theta[m + 1]
+    sigma = np.exp(v) if v > solvers._LOG_FLOOR else _SIGMA_FLOOR
+    r = a - c - s @ w
+    z = r / sigma
+    absz = np.abs(z)
+    quad = absz <= eps
+    h = np.where(quad, z * z, 2.0 * eps * absz - eps * eps)
+    f = n * sigma + sigma * h.sum() + alpha * (w @ w)
+    hprime = np.where(quad, 2.0 * z, 2.0 * eps * np.sign(z))
+    grad = np.empty(m + 2)
+    grad[:m] = -(s.T @ hprime) + 2.0 * alpha * w
+    grad[m] = -hprime.sum()
+    grad[m + 1] = (n - np.minimum(z * z, eps * eps).sum()) * sigma
+    if v <= solvers._LOG_FLOOR:
+        grad[m + 1] = min(grad[m + 1], 0.0)
+    return f, grad, (z, quad, sigma)
+
+
+def reference_hessian(point, grad, s, alpha):
+    """_huber_hessian in its plain form, the reference for the solver's."""
+    z, quad, sigma = point
+    m = s.shape[1]
+    v = np.column_stack([s[quad], np.ones(quad.sum()), z[quad] * sigma])
+    h = (2.0 / sigma) * (v.T @ v)
+    h[np.arange(m), np.arange(m)] += 2.0 * alpha
+    h[m + 1, m + 1] += max(grad[m + 1], 0.0)
+    return h
+
+
+def assert_same_bits(x, y):
+    np.testing.assert_array_equal(x, y)
+    np.testing.assert_array_equal(np.signbit(x), np.signbit(y))  # -0.0 is not 0.0
+
+
+@pytest.mark.parametrize("seed", range(40))
+@pytest.mark.parametrize("case", ["random", "at_the_kink", "on_the_floor", "zero_target"])
+def test_objective_and_hessian_match_the_reference_bit_for_bit(seed, case):
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(1, 12)), int(rng.integers(1, 12))
+    s = rng.random((n, m)) if seed % 2 else rng.integers(0, 2, (n, m)).astype(float)
+    eps = float(rng.choice([1.8, 1.35, 1e6]))
+    alpha = float(rng.choice([0.0, 0.1, 3.0]))
+    theta = np.concatenate([rng.standard_normal(m + 1), [rng.uniform(-6.0, 1.0)]])
+    a = s @ theta[:m] + theta[m] + rng.standard_normal(n) * 10 ** rng.uniform(-5, 1)
+    if case == "at_the_kink":
+        # rows of zeros with c = 0 make r = a exactly: some go to r = +-eps * sigma,
+        # and eps becomes |r| / sigma, so that z lands on it
+        theta[m] = 0.0
+        sigma = np.exp(theta[m + 1])
+        kinks = rng.random(n) < 0.6
+        kinks[0] = True
+        s[kinks] = 0.0
+        a[kinks] = eps * sigma * rng.choice([-1.0, 1.0], kinks.sum())
+        eps = float(abs(a[0]) / sigma)
+    elif case == "on_the_floor":
+        theta[m + 1] = float(rng.choice([solvers._LOG_FLOOR, solvers._LOG_FLOOR - 1.0]))
+    elif case == "zero_target":
+        a = np.zeros(n)
+        theta[: m + 1] *= rng.random() < 0.5
+    f, g, point = _huber_objective_and_grad(theta, s, a, eps, alpha)
+    f_ref, g_ref, point_ref = reference_objective_and_grad(theta, s, a, eps, alpha)
+    assert_same_bits(f, f_ref)
+    assert_same_bits(g, g_ref)
+    for x, y in zip(point, point_ref):
+        assert_same_bits(x, y)
+    if case == "at_the_kink":
+        assert np.any(np.abs(point[0]) == eps)
+    assert_same_bits(solvers._huber_hessian(point, g, s, alpha),
+                     reference_hessian(point_ref, g_ref, s, alpha))
+    z = point[0]
+    for quad in (point[1], ~point[1]):
+        assert solvers._floor_holds(z, quad, eps) == (
+            len(z) >= np.minimum(z * z, eps * eps).sum() and np.array_equal(np.abs(z) <= eps, quad)
+        )
+
+
 def seed7_huber_folds(cfg):
     """Every Huber fold of evaluate on the default seed-7 cohort, both scales."""
     book = synthetic.generate_gradebook(synthetic.SyntheticSpec(seed=7))

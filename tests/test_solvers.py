@@ -215,6 +215,15 @@ class TestNnls:
         with pytest.raises(ConvergenceError, match="iteration cap of 1$"):
             solvers.fit_nnls(s, rng.random(6) + 1.0)
 
+    def test_non_finite_gradient_is_a_convergence_error(self):
+        # finite inputs whose products overflow, so S^T a is inf
+        rng = np.random.default_rng(0)
+        s, a = rng.random((6, 4)) * 1e200, rng.random(6) * 1e200
+        with np.errstate(all="ignore"), pytest.raises(
+            ConvergenceError, match=r"^NNLS gradient S\^T \(a - S w\) is not finite: inf "
+        ):
+            solvers.fit_nnls(s, a)
+
 
 class TestBaselines:
     def test_uniform(self):
