@@ -64,14 +64,17 @@ def loocv_fit(
     0.0 differ) share the folds of the first of them, as the actual and
     normalized targets do when the overall mean equals the exam's.
 
-    An entry whose signature takes start (nnls) is fit once to the full
-    cohort of each distinct column when linalg.loo_full_column_rank
-    certifies any fold, starting from the column's least-squares solution.
-    Each certified fold, whose optimum is unique, starts from its own
-    least-squares solution on the support of that fit, all of them from one
-    linalg.loo_min_norm; when its guard declines, or the support is empty,
-    they start from the full fit.  A start changes the work, not the
-    weights, and a fit whose start passes the iteration cap is refit cold.
+    An entry whose signature takes start (nnls) starts each fold that
+    linalg.loo_full_column_rank certifies: one whose Gram matrix passes the
+    conditioning test that linalg.solve_min_norm applies to every Gram
+    solve, so it has full column rank and a unique optimum.  When any fold
+    is certified, the full cohort of each distinct column is fit first,
+    starting from the column's least-squares solution.  Each certified fold
+    starts from its own least-squares solution on the support of that fit,
+    all of them from one linalg.loo_min_norm downdate; when its guard
+    declines, or the support is empty, they start cold.  A start changes
+    the work, not the weights, and a fit whose start passes the iteration
+    cap is refit cold.
     The other folds, and every fold of a column whose full fit fails, start
     cold.  A fold's ConvergenceError or DataError is re-raised with the fold
     in its message and, in its ``column`` attribute, the index of the first
@@ -126,25 +129,17 @@ def _fold_fits(s, a, fitter, cfg, column, warm) -> list[WeightSolution]:
     return folds
 
 
-def _warm_starts(s, a, fitter, cfg, warm) -> list[WeightSolution | None]:
-    """Per fold, its start, None unless warm[k]; raises ConvergenceError when
-    the full cohort's fit fails.
-
-    The full fit starts from the least-squares solution, by the Gram route
-    (no SVD).  Every fold's least-squares solution on that fit's support P,
-    zero off P, comes from one leave-one-out downdate; when its guard
-    declines, or P is empty, the folds start from the full fit.
-    """
-    ls = linalg.solve_min_norm(s, a, gram=s.T @ s)
-    full = _fit_fold(fitter, s, a, cfg, WeightSolution(question_weights=ls, intercept=0.0))
+def _warm_starts(s, a, fitter, cfg, warm) -> list[np.ndarray | None]:
+    """Per fold, its start weights, None unless warm[k] (``loocv_fit`` states
+    the rule); raises ConvergenceError when the full cohort's fit fails."""
+    full = _fit_fold(fitter, s, a, cfg, linalg.solve_min_norm(s, a, gram=s.T @ s))
     support = full.question_weights > 0
     loo = linalg.loo_min_norm(s[:, support], a[:, None]) if support.any() else None
     if loo is None:
-        return [full if w else None for w in warm]
+        return [None] * len(a)
     weights = np.zeros((len(a), s.shape[1]))
     weights[:, support] = loo[:, :, 0]
-    return [WeightSolution(question_weights=x, intercept=0.0) if w else None
-            for x, w in zip(weights, warm)]
+    return [x if w else None for x, w in zip(weights, warm)]
 
 
 def _fit_fold(fitter, s, a, cfg, start) -> WeightSolution:

@@ -1,22 +1,21 @@
 """Dense linear algebra kernel: thin SVD, minimum-norm least-squares
 solving, centering on a basis of the zero-sum vectors, all leave-one-out
 minimum-norm solutions of any system from one SVD, unless an accuracy guard
-declines it, and a one-SVD certificate of which leave-one-out folds keep
-full column rank.
+declines it, and which leave-one-out folds pass the Gram solve's
+conditioning test, from one inverse of the Gram matrix.
 
 All routines are pure functions on float64 numpy arrays; the SVD is numpy's
 LAPACK routine, and ``svd`` returns the factors (u, sigma, v) of
 ``a = u @ diag(sigma) @ v.T``: u n-by-k and v p-by-k with orthonormal
-columns, sigma nonincreasing and nonnegative, k = min(n, p).  Every other
-routine factors through it at most once and keeps the singular values above
+columns, sigma nonincreasing and nonnegative, k = min(n, p).  The minimum-norm
+solves factor through it at most once and keep the singular values above
 default_rank_cutoff(rows, cols) = max(rows, cols) * machine epsilon times the
-largest, rows and cols being the shape of the systems it solves: the matrix
-given for solve_min_norm, its leave-one-out folds for loo_min_norm and
-loo_full_column_rank.  That truncation is the pseudoinverse the minimum-norm
-solutions apply, and no routine takes another cutoff.  The one solve
-that can skip the SVD is solve_min_norm given a's Gram matrix, as
-solvers.fit_nnls gives it for every passive solve of a wide or tall
-design: it uses the corrected seminormal equations when their error
+largest, rows and cols being the shape of the systems they solve: the matrix
+given for solve_min_norm, its leave-one-out folds for loo_min_norm.  That
+truncation is the pseudoinverse they apply, and no routine takes another
+cutoff.  The one solve that can skip the SVD is solve_min_norm given a's
+Gram matrix, as solvers.fit_nnls gives it for every passive solve of a wide
+or tall design: it uses the corrected seminormal equations when their error
 estimate is within LOO_RTOL, and the SVD otherwise.
 Intended scale is desk-size problems (up to a few hundred rows/columns).
 """
@@ -95,7 +94,7 @@ def _truncated_svd(a, rank_cutoff: float | None = None):
 # solve was at most 2.1e-12.
 LOO_RTOL = 1e-11
 
-# _gram_solve's bounds as Python floats: each passive solve of fit_nnls
+# The Gram test's bounds as Python floats: each passive solve of fit_nnls
 # tests them, and a float comparison costs less than a numpy one.
 _EPS = float(np.finfo(float).eps)
 _SQRT_LOO_RTOL = math.sqrt(LOO_RTOL)
@@ -125,20 +124,34 @@ def solve_min_norm(a, y, gram=None) -> np.ndarray:
     return v @ ((u.T @ y) / sigma)
 
 
+def _gram_inverse(gram):
+    """(G^-1, t) for G = gram when G passes the Gram test, else None.
+
+    G^-1 comes from LAPACK's LU, and t = eps * ||G||_F * ||G^-1||_F, at
+    least eps times G's condition number, bounds the relative error of a
+    solve with G (Bjorck 1987).  The test is t <= sqrt(LOO_RTOL).  LU's
+    backward error keeps t far above that when G is singular; an exactly
+    zero pivot fails at once.
+    """
+    try:
+        g_inv = np.linalg.inv(gram)
+    except np.linalg.LinAlgError:
+        return None
+    t = _EPS * math.sqrt(np.vdot(gram, gram) * np.vdot(g_inv, g_inv))
+    return (g_inv, t) if t <= _SQRT_LOO_RTOL else None
+
+
 def _gram_solve(a, y, gram):
     """x + d, the least-squares solution of ``a @ x ~= y`` by the corrected
     seminormal equations on G = gram = a^T a (Bjorck 1987), or None when its
     estimated distance from the SVD solve passes LOO_RTOL (relative).
 
-    x = G^-1 a^T y, with G^-1 from LAPACK's LU, and d = G^-1 a^T (y - a x)
-    is one refinement step.  Three tests bound the distance:
+    x = G^-1 a^T y and d = G^-1 a^T (y - a x), one refinement step.  Three
+    tests bound the distance:
 
-    * t = eps * ||G||_F * ||G^-1||_F, at least eps times G's condition
-      number, bounds the relative error of a solve with G.  LU's backward
-      error keeps t far above sqrt(LOO_RTOL) when G is singular; an exactly
-      zero pivot declines at once.
+    * G passes the Gram test of ``_gram_inverse``: t <= sqrt(LOO_RTOL).
     * d estimates x's error, and the refinement leaves about t * ||d||, so
-      t and ||d|| / ||x|| are each held to sqrt(LOO_RTOL).
+      ||d|| / ||x|| is held to sqrt(LOO_RTOL) too.
     * Rounding of a moves the least-squares solution itself, on either
       path, by up to about t * ||y - a x|| / (sigma_1 ||x||) (Wedin 1973).
       That is held to LOO_RTOL, with a's largest column norm, which is at
@@ -150,18 +163,16 @@ def _gram_solve(a, y, gram):
     cols = a.shape[1]
     if gram.shape != (cols, cols):
         raise ValueError(f"gram must be {cols}x{cols} for a matrix of {cols} columns, got {gram.shape}")
-    try:
-        g_inv = np.linalg.inv(gram)
-    except np.linalg.LinAlgError:
+    inverse = _gram_inverse(gram)
+    if inverse is None:
         return None
+    g_inv, t = inverse
     x = g_inv @ (a.T @ y)
     r = y - a @ x
     d = g_inv @ (a.T @ r)
-    t = _EPS * math.sqrt(np.vdot(gram, gram) * np.vdot(g_inv, g_inv))
     xx, dd = float(x @ x), float(d @ d)  # squared norms, as are the bounds below
     if (
         math.isfinite(dd)
-        and t <= _SQRT_LOO_RTOL
         and dd <= LOO_RTOL * xx
         and t * t * float(r @ r) <= LOO_RTOL**2 * float(gram.diagonal().max()) * xx
     ):
@@ -181,7 +192,7 @@ def center(a) -> tuple[np.ndarray, np.ndarray]:
     return basis, basis.T @ (a - a[0])
 
 
-def _leverage_gaps(u, centered=False) -> tuple[np.ndarray, np.ndarray]:
+def _leverage_gaps(u, centered) -> tuple[np.ndarray, np.ndarray]:
     """(I - H, 1 - h_jj) for the hat matrix H = u u^T of u's orthonormal
     columns, plus 1/n in every entry when centered.  1 - h_jj is taken as
     ||(I - H)[:, j]||^2, which is accurate near 0 where 1 - ||u[j]||^2 is
@@ -208,29 +219,29 @@ def _keeps_rank(sigma, gap, rank_cutoff: float) -> np.ndarray:
 
 
 def loo_full_column_rank(a) -> np.ndarray:
-    """Per row j, whether a without row j certainly has full column rank.
+    """Per row j, whether a without row j passes the Gram test of
+    ``_gram_inverse``, so its Gram matrix G_j = G - a_j^T a_j, G = a^T a, is
+    safe to solve with and a's fold has full column rank.
 
-    Certified from one SVD of a by the bound of ``_keeps_rank``: the fold's
-    p-th singular value exceeds the folds' own default_rank_cutoff(rows - 1,
-    p) times its largest.  That cutoff is at least the one of a solve on
-    any subset of a fold's columns, so no such solve of a certified fold
-    truncates its rank.  A row whose 1 - h_jj is 0 to rounding (``_at_one``)
-    is alone in a direction of a's row space, so its fold loses rank; it is
-    not certified, though the rounded 1 - h_jj (near 1e-30) can pass the
-    bound.  The test is conservative: a fold near the cutoff may be of full
-    rank and not certified.  When rows - 1 < p no fold is, and no SVD is
-    made.
+    Certified from one ``_gram_inverse`` of G: fold j when
+    t <= sqrt(LOO_RTOL) * (1 - h_jj), with h_jj = a_j G^-1 a_j^T.  By
+    Sherman-Morrison, G_j^-1 = G^-1 + G^-1 a_j^T a_j G^-1 / (1 - h_jj),
+    whose Frobenius norm is at most ||G^-1||_F / (1 - h_jj); and
+    ||G_j||_F <= ||G||_F, so the fold's own t is at most t / (1 - h_jj).
+    A principal block G_j[P, P] has no larger norm and no larger inverse,
+    so the t of each passive solve of a certified fold is within the bound
+    too.  1 - h_jj is off by about t, far below the margin
+    t / sqrt(LOO_RTOL) it must clear, so a row alone in a direction of a's
+    row space (h_jj = 1) is not certified.  When rows - 1 < p no fold is,
+    and nothing is inverted.
     """
     a = as_matrix(a)
     n, p = a.shape
-    if n - 1 < p:
+    inverse = _gram_inverse(a.T @ a) if n - 1 >= p else None
+    if inverse is None:  # the folds are wide, or G fails and so does every fold
         return np.zeros(n, dtype=bool)
-    rank_cutoff = default_rank_cutoff(n - 1, p)
-    u, sigma, _, _ = _truncated_svd(a, rank_cutoff)
-    if len(sigma) < p:
-        return np.zeros(n, dtype=bool)
-    gap = _leverage_gaps(u)[1]
-    return _keeps_rank(sigma, gap, rank_cutoff) & ~_at_one(gap, n, p)
+    g_inv, t = inverse
+    return t <= _SQRT_LOO_RTOL * (1.0 - np.sum((a @ g_inv) * a, axis=1))
 
 
 def loo_min_norm(a, ys, centered: bool = False):

@@ -480,25 +480,22 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
     )
 
 
-def fit_nnls(
-    s, a, cfg: SolverConfig = DEFAULT_CONFIG, *, start: WeightSolution | None = None
-) -> WeightSolution:
+def fit_nnls(s, a, cfg: SolverConfig = DEFAULT_CONFIG, *, start=None) -> WeightSolution:
     """Lawson-Hanson active-set solution of min ||S w - a|| s.t. w >= 0.
 
     No bias column is added (a nonnegative intercept would distort weights);
     the intercept is fixed at 0.  Candidate selection ties are broken toward
     the smallest column index for determinism.
 
-    With start, a guess at the answer (experiment.loocv_fit passes the full
-    cohort's fit its least-squares solution, and a leave-one-out fold its
-    own least-squares solution on the full fit's support), the first
-    passive set is start's positive weights: the fit solves on it and drops
-    the nonpositive coordinates until the solution is feasible, then runs
-    the active-set loop from there (passive-set reuse, Bro & De Jong 1997).
-    Those solves count in iterations and toward the cap, and the stopping
-    test on S^T (a - S w) is unchanged.  Where the optimum is unique, as
-    when S has full column rank, the start therefore changes the work and
-    not the answer; pass a start only there.
+    With start, a weight vector that guesses the answer (experiment.loocv_fit
+    states which fits get one), the first passive set is start's positive
+    weights: the fit solves on it and drops the nonpositive coordinates
+    until the solution is feasible, then runs the active-set loop from there
+    (passive-set reuse, Bro & De Jong 1997).  Those solves count in
+    iterations and toward the cap, and the stopping test on S^T (a - S w) is
+    unchanged.  Where the optimum is unique, as when S has full column rank,
+    the start therefore changes the work and not the answer; pass a start
+    only there.
 
     Each passive-set solve is linalg.solve_min_norm on S's passive columns.
     The fit forms G = S^T S once and hands each solve its passive block
@@ -533,11 +530,10 @@ def fit_nnls(
         return z
 
     if start is not None:
-        if len(start.question_weights) != m:
-            raise ValueError(
-                f"dimension mismatch: {m} score columns vs {len(start.question_weights)} start weights"
-            )
-        passive = start.question_weights > 0
+        start = linalg.as_vector(start)
+        if len(start) != m:
+            raise ValueError(f"dimension mismatch: {m} score columns vs {len(start)} start weights")
+        passive = start > 0
         while passive.any():
             z = passive_solve()
             if z[passive].min() > 0.0:
@@ -614,12 +610,9 @@ def predict(sol: WeightSolution, s) -> np.ndarray:
 # called once per leave-one-out run, with every column (the min-norm
 # fitters answer it from one SVD of any design), and per fold only when
 # that returns None, as it does when the accuracy guard declines the
-# design.  An entry whose signature takes start (fit_nnls) is fit once to
-# the full cohort of each distinct column, with start= the column's
-# least-squares solution, and then called once per fold; a fold certified
-# to keep full column rank gets start= its least-squares solution on that
-# fit's support (or the full fit, when linalg.loo_min_norm declines).  A call
-# whose start passes the cap is repeated without it.
+# design.  An entry whose signature takes start (fit_nnls) gets start=
+# weights for the fits loocv_fit's docstring names; a call whose start
+# passes the cap is repeated without it.
 # A functools.wraps wrapper reports the signature of the fitter it wraps,
 # so it must pass these keywords through.
 #

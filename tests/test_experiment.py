@@ -439,12 +439,14 @@ def recording_fits(monkeypatch):
 def tall_nnls_problem(draw):
     """A tall design (m <= 12 questions, m + 1 to 3m students) and a target:
     scores in [0, 1) or Gaussian, optionally with a near-collinear column
-    pair or a repeated row; the target is noisy, nearly a sparse nonnegative
-    combination, or <= 0 on scores, whose support is then empty.
+    pair (differing by up to 1e-4, 1e-5 or 1e-6) or a repeated row; the
+    target is noisy, nearly a sparse nonnegative combination, or <= 0 on
+    scores, whose support is then empty.
 
-    The pair differs by up to 1e-4: at 1e-5 (condition numbers near 1e6) a
-    cold fit can stop within NNLS_TOLERANCE of a point off the unique
-    optimum, where a warm one reaches the optimum itself."""
+    At gaps of 1e-5 and 1e-6 (condition numbers near 1e6 and up) a cold fit
+    can stop within NNLS_TOLERANCE of a point off the unique optimum, where
+    a warm one reaches the optimum itself; no such fold passes the Gram
+    test that certifies a warm one."""
     m = draw(st.integers(1, 12))
     n = draw(st.integers(m + 1, 3 * m))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -452,7 +454,7 @@ def tall_nnls_problem(draw):
     gaussian = kind != "nonpositive" and draw(st.booleans())
     s = rng.standard_normal((n, m)) if gaussian else rng.random((n, m))
     if m >= 2 and draw(st.booleans()):
-        s[:, 1] = s[:, 0] + 1e-4 * rng.random(n)
+        s[:, 1] = s[:, 0] + draw(st.sampled_from([1e-4, 1e-5, 1e-6])) * rng.random(n)
     if draw(st.booleans()):
         s[-1] = s[0]
     if kind == "noisy":
@@ -466,7 +468,7 @@ def tall_nnls_problem(draw):
 
 
 class TestWarmNnls:
-    """When a fold keeps full column rank, the full cohort's NNLS fit and
+    """When a fold passes the Gram test, the full cohort's NNLS fit and
     each such fold start at their least-squares support, and give the
     weights of a cold fit."""
 
@@ -511,12 +513,12 @@ class TestWarmNnls:
     def test_svd_budget_on_the_tall_bench_cohort(self, svd_calls):
         # every one of 862 passive solves was once an SVD; the warm start
         # cut them to 98, the least-squares starts to 57, and the Gram route
-        # makes none an SVD: the two SVDs left are the full-column-rank
-        # certificate and the folds' downdate on the full fit's support
+        # makes none an SVD: the one SVD left is the folds' downdate on the
+        # full fit's support, as the certificate inverts the Gram matrix
         s, targets = cohort(TALL_40x32)
         experiment.loocv_fit(s, targets, solvers.NNLS)
         support = solvers.fit_nnls(s, targets[:, 0]).question_weights > 0
-        assert svd_calls == [s.shape, (len(s), support.sum())]
+        assert svd_calls == [(len(s), support.sum())]
 
     def test_a_failed_start_fit_leaves_the_folds_cold(self, monkeypatch, nnls_calls):
         s, targets = cohort(TALL_40x32)
@@ -544,7 +546,7 @@ class TestWarmNnls:
         monkeypatch.setattr(solvers, "nnls_iteration_cap", lambda n_questions: 3)
         assert linalg.loo_full_column_rank(s).all()
         with pytest.raises(ConvergenceError, match="iteration cap"):
-            solvers.fit_nnls(s[:4], a[:4], start=solvers.fit_nnls(s, a))
+            solvers.fit_nnls(s[:4], a[:4], start=solvers.fit_nnls(s, a).question_weights)
         [(folds, _)] = experiment.loocv_fit(s, a[:, None], solvers.NNLS)
         for k, got in enumerate(folds):
             cold = solvers.fit_nnls(np.delete(s, k, axis=0), np.delete(a, k))
@@ -552,8 +554,8 @@ class TestWarmNnls:
 
     def test_a_fold_that_loses_rank_is_fit_cold(self, nnls_calls):
         # rows 0 and 2 are equal, so fold 1 has rank 1 and its optimum is
-        # not unique: from the full fit's start it lands on (0.94, 0.76),
-        # cold on (1.55, 0)
+        # not unique: started from the full fit's weights it lands on
+        # (0.94, 0.76), cold on (1.55, 0)
         s = np.random.default_rng(1304090).standard_normal((3, 2))
         s[2] = s[0]
         a = np.array([-4.0, 1.0, 1.0])
@@ -564,6 +566,22 @@ class TestWarmNnls:
         for k, got in enumerate(folds):
             cold = solvers.fit_nnls(np.delete(s, k, axis=0), np.delete(a, k))
             np.testing.assert_array_equal(got.question_weights, cold.question_weights)
+
+    def test_an_ill_conditioned_fold_is_fit_cold(self):
+        # columns 0 and 1 differ by under 1e-6, and without row 2 the fold's
+        # condition number is 5e9.  An SVD rank test certified that fold:
+        # from its start it reached the optimum (0.0035, 0), while the cold
+        # fit stops at (0, 0.0035), whose gradient on column 0 (6.5e-12) is
+        # already within NNLS_TOLERANCE.  Its Gram matrix fails the Gram test.
+        rng = np.random.default_rng(10806)
+        s = rng.standard_normal((3, 2))
+        s[:, 1] = s[:, 0] + 1e-6 * rng.random(3)
+        a = s @ (10 * rng.random(2) * (rng.random(2) < 0.3)) + 0.01 * rng.standard_normal(3)
+        [(folds, _)] = experiment.loocv_fit(s, a[:, None], solvers.NNLS)
+        for k, got in enumerate(folds):
+            cold = solvers.fit_nnls(np.delete(s, k, axis=0), np.delete(a, k))
+            np.testing.assert_array_equal(got.question_weights, cold.question_weights)
+        assert not linalg.loo_full_column_rank(s)[2]
 
     @given(tall_nnls_problem())
     @settings(max_examples=150, deadline=None)
@@ -578,19 +596,23 @@ class TestWarmNnls:
         [full] = [sol for size, _, sol in calls if size == n]
         cold = solvers.fit_nnls(s, a)
         np.testing.assert_array_equal(full.question_weights, cold.question_weights)
-        assert [("start" in kwargs) for size, kwargs, _ in calls if size == n - 1] == list(warm)
+        # the certified folds start, unless the support is empty or its
+        # downdate declines
+        support = cold.question_weights > 0
+        started = support.any() and linalg.loo_min_norm(s[:, support], a[:, None]) is not None
+        assert [("start" in kwargs) for size, kwargs, _ in calls if size == n - 1] == [
+            bool(w and started) for w in warm]
         for k, got in enumerate(folds):
             cold = solvers.fit_nnls(np.delete(s, k, axis=0), np.delete(a, k))
             np.testing.assert_array_equal(got.question_weights, cold.question_weights)
 
-    def test_a_declined_downdate_starts_the_folds_from_the_full_fit(self, monkeypatch):
+    def test_a_declined_downdate_leaves_the_folds_cold(self, monkeypatch):
         s, targets = cohort(TALL_40x32)
         n = len(s)
         monkeypatch.setattr(linalg, "loo_min_norm", lambda a, ys, centered=False: None)
         calls = recording_fits(monkeypatch)
         [(folds, _)] = experiment.loocv_fit(s, targets, solvers.NNLS)
-        [full] = [sol for size, _, sol in calls if size == n]
-        assert all(kwargs["start"] is full for size, kwargs, _ in calls if size == n - 1)
+        assert [("start" in kwargs) for size, kwargs, _ in calls] == [True] + [False] * n
         for k, got in enumerate(folds):
             cold = solvers.fit_nnls(np.delete(s, k, axis=0), np.delete(targets[:, 0], k))
             np.testing.assert_array_equal(got.question_weights, cold.question_weights)
@@ -604,9 +626,8 @@ class TestWarmNnls:
         a = np.array([2.379, -1.06, -0.911, -1.098, -0.028])
         monkeypatch.setattr(solvers, "nnls_iteration_cap", lambda n_questions: 1)
         assert linalg.loo_full_column_rank(s).all()
-        ls = solvers.WeightSolution(question_weights=np.linalg.lstsq(s, a)[0], intercept=0.0)
         with pytest.raises(ConvergenceError, match="iteration cap"):
-            solvers.fit_nnls(s, a, start=ls)
+            solvers.fit_nnls(s, a, start=np.linalg.lstsq(s, a)[0])
         [(folds, _)] = experiment.loocv_fit(s, a[:, None], solvers.NNLS)
         assert [("start" in kwargs) for size, kwargs in nnls_calls if size == len(a)] == [
             True, False]
@@ -628,18 +649,19 @@ class TestWarmNnls:
             moved[cols] = got.question_weights
             assert np.abs(moved - w).max() <= 1e-10 * np.abs(w).max()
 
-    def test_a_fitter_without_start_is_not_certified(self, monkeypatch, svd_calls):
+    def test_a_fitter_without_start_is_not_certified(self, monkeypatch):
         s, targets = cohort(TALL_40x32)
-        seen = []
+        seen, certified = [], []
 
         def replacement(s, a, cfg):
             seen.append(len(a))
             return solvers.fit_nnls(s, a, cfg)
 
         monkeypatch.setitem(solvers.FITTERS, solvers.NNLS, replacement)
+        monkeypatch.setattr(linalg, "loo_full_column_rank", lambda a: certified.append(a))
         experiment.loocv_fit(s, targets, solvers.NNLS)
         assert seen == [len(s) - 1] * len(s)
-        assert (len(s), s.shape[1]) not in svd_calls
+        assert certified == []
 
 
 EVERY_CELL = [(scale, exclusion) for exclusion in (gb.INCLUDE_EXAM, gb.EXCLUDE_EXAM)

@@ -1,0 +1,122 @@
+"""evaluate's report is a function of the gradebook, not of the layout of its
+files.  Each case writes a cohort's files, changes only their layout, loads
+them through dataio.load_gradebook and compares the reports by question id:
+each averaged weight vector (with its intercept) to 1e-10 relative, and each
+MAE cell of the report exactly.  The layout changes are:
+
+* permuting the rows of the questions file, which sets the question order;
+* permuting the rows and columns of the scores file;
+* relabeling the students and questions.
+
+Two known exceptions are marked xfail(strict=True), each naming the roadmap
+item that will make it pass, so that each fails loudly once its item lands.
+"""
+
+import csv
+
+import numpy as np
+import pytest
+
+from examweight import dataio, experiment, solvers, synthetic
+
+WIDE = dict(seed=7)  # the paper's 9 x 53 shape, noiseless
+TALL = dict(seed=3, noise=4.0, students=24, mc_questions=8, tf_questions=4,
+            analytical_questions=2, analytical_subparts=4)  # 24 x 14, noisy
+LAYOUTS = ("question_rows", "score_rows_and_columns", "labels")
+
+
+def read_rows(path):
+    with open(path, newline="") as f:
+        return list(csv.reader(f))
+
+
+def write_rows(path, rows):
+    with open(path, "w", newline="") as f:
+        csv.writer(f).writerows(rows)
+
+
+def relaid(fileset, layout, rng, out_dir):
+    """A copy of fileset's files in out_dir with only their layout changed,
+    and the map from each question id of the copy to the original's."""
+    out_dir.mkdir()
+    questions = read_rows(fileset.questions["final"])
+    scores = read_rows(fileset.scores["final"])
+    components = read_rows(fileset.components)
+    ids = [row[0] for row in questions[1:]]
+    renamed = dict(zip(ids, ids))
+    if layout == "question_rows":
+        questions[1:] = [questions[1:][i] for i in rng.permutation(len(ids))]
+    elif layout == "score_rows_and_columns":
+        cols = [0, *(1 + rng.permutation(len(ids)))]
+        scores = [[row[c] for c in cols] for row in scores]
+        scores[1:] = [scores[1:][i] for i in rng.permutation(len(scores) - 1)]
+    else:
+        renamed = {q: f"Q{i}" for q, i in zip(ids, rng.permutation(len(ids)))}
+        students = [row[0] for row in components[1:]]
+        relabeled = {s: f"P{i}" for s, i in zip(students, rng.permutation(len(students)))}
+        for row in questions[1:]:
+            row[0] = renamed[row[0]]
+        scores[0][1:] = [renamed[q] for q in scores[0][1:]]
+        for row in scores[1:] + components[1:]:
+            row[0] = relabeled[row[0]]
+    paths = [out_dir / "final_questions.csv", out_dir / "final_scores.csv",
+             out_dir / "components.csv"]
+    for path, rows in zip(paths, (questions, scores, components)):
+        write_rows(path, rows)
+    relaid_set = dataio.GradebookFileSet(
+        scores={"final": paths[1]}, questions={"final": paths[0]}, components=paths[2]
+    )
+    return relaid_set, {new: old for old, new in renamed.items()}
+
+
+def report_of(fileset, approach, alpha):
+    book = dataio.load_gradebook(fileset)
+    cfg = solvers.SolverConfig(huber_regularization=alpha)
+    return experiment.evaluate(book, "final", cfg, approaches=(approach,))
+
+
+def weights_by_id(report, original_id):
+    """Per record, {original question id: weight} plus the intercept."""
+    return [
+        ({original_id.get(q, q): w
+          for q, w in zip(report.question_ids, rec.averaged_weights.question_weights)},
+         rec.averaged_weights.intercept)
+        for rec in report.records
+    ]
+
+
+def xfail(item):
+    return pytest.mark.xfail(strict=True, reason=f"roadmap item {item}")
+
+
+@pytest.mark.parametrize("spec, approach, alpha", [
+    pytest.param(WIDE, solvers.OLS_CLOSED_FORM, 0.1, id="wide-ols_closed_form"),
+    pytest.param(WIDE, solvers.LINEAR_INTERCEPT, 0.1, id="wide-linear_intercept"),
+    pytest.param(WIDE, solvers.HUBER, 0.1, id="wide-huber"),
+    pytest.param(TALL, solvers.OLS_CLOSED_FORM, 0.1, id="tall-ols_closed_form"),
+    pytest.param(TALL, solvers.LINEAR_INTERCEPT, 0.1, id="tall-linear_intercept"),
+    pytest.param(TALL, solvers.HUBER, 0.1, id="tall-huber"),
+    pytest.param(TALL, solvers.NNLS, 0.1, id="tall-nnls"),
+    # every fold interpolates its 8 students, so its minimizers form a
+    # polytope, and Lawson-Hanson returns the vertex that question order
+    # leads it to: item 7 (one stated answer for NNLS)
+    pytest.param(WIDE, solvers.NNLS, 0.1, id="wide-nnls", marks=xfail(7)),
+    # without the ridge a wide design's minimizer in w is not unique, and
+    # the fit's path picks one: item 4 (Huber at alpha = 0)
+    pytest.param(WIDE, solvers.HUBER, 0.0, id="wide-huber-alpha0", marks=xfail(4)),
+])
+def test_report_does_not_depend_on_the_file_layout(spec, approach, alpha, tmp_path):
+    book = synthetic.generate_gradebook(synthetic.SyntheticSpec(**spec))
+    fileset = dataio.write_gradebook_files(book, tmp_path / "original")
+    want = report_of(fileset, approach, alpha)
+    ids = want.question_ids
+    rng = np.random.default_rng(0)
+    for layout in LAYOUTS:
+        changed, original_id = relaid(fileset, layout, rng, tmp_path / layout)
+        got = report_of(changed, approach, alpha)
+        assert dataio.mae_table(got) == dataio.mae_table(want), layout
+        for (w_got, c_got), (w_want, c_want) in zip(weights_by_id(got, original_id),
+                                                    weights_by_id(want, {})):
+            x_got = np.array([*(w_got[q] for q in ids), c_got])
+            x_want = np.array([*(w_want[q] for q in ids), c_want])
+            assert np.linalg.norm(x_got - x_want) <= 1e-10 * np.linalg.norm(x_want), layout

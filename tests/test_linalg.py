@@ -219,9 +219,10 @@ class TestSolveMinNorm:
         assert np.max(np.abs(x1 - x2)) <= 1e-10 * max(1.0, np.max(np.abs(x2)))
 
 
-    def test_loo_full_column_rank_calls_svd_once(self, calls):
-        linalg.loo_full_column_rank(np.random.default_rng(2).random((6, 3)))
-        assert calls == [(6, 3)]
+    def test_loo_full_column_rank_makes_no_svd(self, calls):
+        # it inverts the Gram matrix instead
+        certified = linalg.loo_full_column_rank(np.random.default_rng(2).random((6, 3)))
+        assert certified.all() and calls == []
 
     def test_loo_full_column_rank_skips_svd_when_folds_are_wide(self, calls):
         # 9 rows and 53 columns, as the paper's cohort: no fold has full
@@ -335,6 +336,14 @@ class TestGramSolve:
             linalg.solve_min_norm(np.eye(3, 2), np.ones(3), gram=np.eye(3))
 
 
+def gram_t(a):
+    """(t, G^-1) of G = a^T a: t = eps * ||G||_F * ||G^-1||_F, the number
+    the Gram solve holds to sqrt(LOO_RTOL), computed directly."""
+    g = a.T @ a
+    g_inv = np.linalg.inv(g)
+    return np.finfo(float).eps * np.sqrt(np.vdot(g, g) * np.vdot(g_inv, g_inv)), g_inv
+
+
 class TestLooFullColumnRank:
     @given(
         st.integers(0, 2**32 - 1),
@@ -374,19 +383,52 @@ class TestLooFullColumnRank:
         a = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 2.0], [0.0, 3.0]])
         assert linalg.loo_full_column_rank(a).tolist() == [False, True, True, True]
 
-    def test_cutoff_decides(self, cutoff):
-        a = np.array([[1.0, 0.0], [0.0, 1e-3], [1.0, 1e-3], [2.0, 0.0]])
-        assert linalg.loo_full_column_rank(a).all()
-        cutoff(1e-2)
-        assert not linalg.loo_full_column_rank(a).any()
+    def test_a_fold_whose_t_crosses_the_bound_is_not_certified(self):
+        # without row 1, question 1 is scored by row 3 alone, at delta: the
+        # fold's G is diag(2, delta^2), whose t = eps * ||G||_F * ||G^-1||_F
+        # (about 2 eps / delta^2) crosses sqrt(LOO_RTOL) between these deltas
+        for delta, fold_passes in ((2e-5, True), (1e-5, False)):
+            a = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, delta]])
+            assert (gram_t(np.delete(a, 1, axis=0))[0] <= np.sqrt(linalg.LOO_RTOL)) == fold_passes
+            assert linalg.loo_full_column_rank(a).tolist() == [True, fold_passes, True, True]
 
-    def test_fold_the_cutoff_would_cut_is_not_certified(self, cutoff):
-        # of full rank under the cutoff 0.1, but without row 1 the second
-        # singular value is 0.05 of the first (as in TestLooMinNorm)
-        a = np.array([[1.0, 0.0], [0.0, 0.2], [0.0, 0.05]])
-        assert linalg.loo_full_column_rank(a).tolist() == [False, True, True]
-        cutoff(0.1)
-        assert linalg.loo_full_column_rank(a).tolist() == [False, False, True]
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 12),
+        st.integers(0, 6),
+        st.sampled_from(["plain", "repeated_row", "repeated_column", "scaled_column",
+                         "collinear", "alone"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_certified_folds_pass_the_gram_test(self, seed, n, short, kind):
+        # tall designs, whose folds have at least as many rows as columns
+        rng = np.random.default_rng(seed)
+        p = max(1, n - 1 - short)
+        a = rng.standard_normal((n, p))
+        if kind == "repeated_row":
+            a[-1] = a[0]
+        elif kind == "repeated_column" and p > 1:
+            a[:, -1] = a[:, 0]
+        elif kind == "scaled_column":
+            a[:, 0] *= 10.0 ** -rng.uniform(0, 12)
+        elif kind == "collinear" and p > 1:
+            a[:, 1] = a[:, 0] + 10.0 ** -rng.uniform(0, 8) * rng.random(n)
+        elif kind == "alone":
+            a[1:, 0] = 0.0  # only row 0 answers question 0
+        certified = linalg.loo_full_column_rank(a)
+        try:
+            t, g_inv = gram_t(a)
+        except np.linalg.LinAlgError:
+            assert not certified.any()
+            return
+        # fold j is certified exactly when t <= sqrt(LOO_RTOL) * (1 - h_jj) ...
+        gap = 1.0 - np.sum((a @ g_inv) * a, axis=1)
+        np.testing.assert_array_equal(certified, t <= np.sqrt(linalg.LOO_RTOL) * gap)
+        # ... and then the fold's own Gram matrix passes the Gram solve's test
+        for j in np.flatnonzero(certified):
+            assert gram_t(np.delete(a, j, axis=0))[0] <= np.sqrt(linalg.LOO_RTOL)
+        if kind == "alone":
+            assert not certified[0]
 
     def test_zero_design_is_not_certified(self):
         assert not linalg.loo_full_column_rank(np.zeros((4, 2))).any()

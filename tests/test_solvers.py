@@ -139,10 +139,7 @@ class TestNnls:
         a = rng.standard_normal(n) * 3
         start = None
         if warm:  # random weights, about half of them zero
-            start = solvers.WeightSolution(
-                question_weights=rng.random(p) * (rng.random(p) < 0.5),
-                intercept=0.0,
-            )
+            start = rng.random(p) * (rng.random(p) < 0.5)
         sol = solvers.fit_nnls(s, a, start=start)
         x = sol.question_weights
         assert np.all(x >= 0)
@@ -162,7 +159,7 @@ class TestNnls:
         s = rng.random((12, 5))
         a = s @ np.array([2.0, 0.0, 1.0, 0.0, 3.0]) - 0.5 * s[:, 1]
         cold = solvers.fit_nnls(s, a)
-        warm = solvers.fit_nnls(s, a, start=cold)
+        warm = solvers.fit_nnls(s, a, start=cold.question_weights)
         assert cold.iterations > 1 and warm.iterations == 1
         np.testing.assert_array_equal(warm.question_weights, cold.question_weights)
 
@@ -171,8 +168,7 @@ class TestNnls:
         # weight; dropping it gives the answer, in two solves
         s = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
         a = s @ np.array([1.0, 2.0, -0.5])
-        start = solvers.WeightSolution(np.ones(3), 0.0)
-        warm = solvers.fit_nnls(s, a, start=start)
+        warm = solvers.fit_nnls(s, a, start=np.ones(3))
         cold = solvers.fit_nnls(s, a)
         np.testing.assert_allclose(warm.question_weights, cold.question_weights, atol=1e-12)
         assert warm.question_weights[2] == 0.0 and warm.iterations == 2
@@ -181,21 +177,25 @@ class TestNnls:
         rng = np.random.default_rng(4)
         s, a = rng.random((8, 4)), rng.random(8)
         cold = solvers.fit_nnls(s, a)
-        warm = solvers.fit_nnls(s, a, start=solvers.WeightSolution(np.zeros(4), 0.0))
+        warm = solvers.fit_nnls(s, a, start=np.zeros(4))
         np.testing.assert_array_equal(warm.question_weights, cold.question_weights)
         assert warm.iterations == cold.iterations
 
     def test_start_solves_count_toward_the_cap(self, monkeypatch):
         s = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
         a = s @ np.array([1.0, 2.0, -0.5])
-        start = solvers.WeightSolution(np.ones(3), 0.0)
         monkeypatch.setattr(solvers, "nnls_iteration_cap", lambda n_questions: 1)
         with pytest.raises(ConvergenceError, match="iteration cap of 1"):
-            solvers.fit_nnls(s, a, start=start)
+            solvers.fit_nnls(s, a, start=np.ones(3))
 
     def test_start_of_another_length_is_rejected(self):
-        start = solvers.WeightSolution(np.ones(2), 0.0)
         with pytest.raises(ValueError, match="start weights"):
+            solvers.fit_nnls(np.eye(3), np.ones(3), start=np.ones(2))
+
+    @pytest.mark.parametrize("start", [[1.0, np.nan, 0.0], np.ones((3, 1))],
+                             ids=["not_finite", "not_a_vector"])
+    def test_start_must_be_a_finite_vector(self, start):
+        with pytest.raises(ValueError, match="finite|1-D"):
             solvers.fit_nnls(np.eye(3), np.ones(3), start=start)
 
     def test_tall_and_wide_designs_solve_from_the_gram_matrix(self, monkeypatch):
