@@ -147,11 +147,19 @@ def _student_table(
     header, checked by the caller, is ``student`` then ``columns``.
 
     Each student has one row, and every cell is a number in [lo, hi]; ``what``
-    names such a number in the range error.
+    names such a number in the range error.  A clean table is parsed whole
+    (numpy parses a str as float() does); otherwise the rows are read in
+    order, and the first fault found is raised.
     """
     body = rows[1:]
     if not body:
         raise DataError(f"{path}: no students")
+    names = tuple(row[0] for row in body if row)  # a blank line has none
+    if len(set(names)) == len(body) and all(len(row) == len(columns) + 1 for row in body):
+        with suppress(ValueError):
+            matrix = np.array([row[1:] for row in body], dtype=float)
+            if ((lo <= matrix) & (matrix <= hi)).all():
+                return names, matrix
     students: dict[str, int] = {}
     matrix = np.zeros((len(body), len(columns)))
     for r, row in enumerate(body, start=2):
@@ -217,19 +225,20 @@ def _load_scores(path: Path, question_ids: tuple[str, ...]) -> tuple[tuple[str, 
     if not rows or not rows[0] or rows[0][0] != "student":
         raise DataError(f"{path}: first header must be 'student'")
     header_ids = rows[0][1:]
-    repeated = sorted({q for q in header_ids if header_ids.count(q) > 1})
-    if repeated:
+    column = {q: c for c, q in enumerate(header_ids)}
+    if len(column) < len(header_ids):
+        repeated = sorted({q for q in header_ids if header_ids.count(q) > 1})
         raise DataError(f"{path}: repeated question ids in header: {repeated}")
-    unknown = [q for q in header_ids if q not in question_ids]
+    known = set(question_ids)
+    unknown = [q for q in header_ids if q not in known]
     if unknown:
         raise DataError(f"{path}: unknown question ids in header: {unknown}")
-    missing = [q for q in question_ids if q not in header_ids]
+    missing = [q for q in question_ids if q not in column]
     if missing:
         raise DataError(f"{path}: score columns missing for questions: {missing}")
     students, matrix = _student_table(path, rows, header_ids, 0, 1, "fractional score")
     # reorder columns to the questions-file order
-    perm = [header_ids.index(q) for q in question_ids]
-    return students, matrix[:, perm]
+    return students, matrix[:, [column[q] for q in question_ids]]
 
 
 def _load_components(path: Path) -> tuple[tuple[str, ...], dict[str, np.ndarray]]:
@@ -270,8 +279,8 @@ def load_gradebook(fileset: GradebookFileSet, check_consistency: bool = True) ->
                 f"{fileset.scores[exam]}: students disagree with "
                 f"{fileset.components}: " + "; ".join(firsts)
             )
-        perm = [exam_students.index(s) for s in students]
-        exams[exam] = matrix[perm]
+        row = {s: r for r, s in enumerate(exam_students)}
+        exams[exam] = matrix[[row[s] for s in students]]
         questions[exam] = qs
     book = gb.Gradebook(
         students=students, exams=exams, questions=questions, components=components
@@ -336,14 +345,14 @@ def mae_table(report: EvaluationReport) -> tuple[list[str], list[list[str]]]:
 def weight_rows(report: EvaluationReport) -> list[list[str]]:
     """Plot-ready long format: exam, solver, scale, question, weight (full
     precision).  The intercept is emitted as pseudo-question '_intercept'."""
-    rows = []
-    for rec in report.records:
-        scale = _scale_label(rec.scale, rec.exclusion)
-        for qid, w in zip(report.question_ids, rec.averaged_weights.question_weights.tolist()):
-            rows.append([report.exam, rec.approach, scale, qid, repr(w)])
-        rows.append([report.exam, rec.approach, scale, "_intercept",
-                     repr(float(rec.averaged_weights.intercept))])
-    return rows
+    qids = (*report.question_ids, "_intercept")
+    return [
+        [report.exam, rec.approach, scale, qid, repr(w)]
+        for rec in report.records
+        for scale in [_scale_label(rec.scale, rec.exclusion)]
+        for qid, w in zip(qids, [*rec.averaged_weights.question_weights.tolist(),
+                                 float(rec.averaged_weights.intercept)])
+    ]
 
 
 def write_report(report: EvaluationReport, path: Path | str, format: str = "csv") -> list[Path]:

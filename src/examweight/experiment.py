@@ -230,10 +230,11 @@ def evaluate(
             raise _with_context(exc, where) from exc
         for t, (scale, exclusion) in enumerate(cells):
             folds, averaged = fits[t]
+            unconverged = tuple(k for k, f in enumerate(folds) if not f.converged)
             bad = [
-                k for k, f in enumerate(folds)
-                if not f.converged
-                and (f.gradient_norm is None or not f.gradient_norm < _FOLD_GRADIENT_CEILING)
+                k for k in unconverged
+                if folds[k].gradient_norm is None
+                or not folds[k].gradient_norm < _FOLD_GRADIENT_CEILING
             ]
             if bad:
                 raise ConvergenceError(
@@ -250,7 +251,7 @@ def evaluate(
                 predictions=preds,
                 target=target,
                 mae=float(np.mean(np.abs(preds - target))),
-                unconverged_folds=tuple(k for k, f in enumerate(folds) if not f.converged),
+                unconverged_folds=unconverged,
             ))
     return EvaluationReport(
         exam=exam,

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from examweight import dataio, experiment, gradebook as gb, solvers, synthetic
 from examweight.errors import DataError
@@ -66,6 +68,63 @@ class TestRoundTrip:
         loaded = dataio.load_gradebook(fileset)
         assert loaded.students == cohort.students
         np.testing.assert_array_equal(loaded.exams["final"], cohort.exams["final"])
+
+
+def reference_student_table(path, rows, columns, lo, hi, what):
+    """The loader's row-by-row reading of a student table, one cell at a
+    time: the reference for dataio._student_table's whole-table parse."""
+    body = rows[1:]
+    if not body:
+        raise DataError(f"{path}: no students")
+    students = {}
+    matrix = np.zeros((len(body), len(columns)))
+    for r, row in enumerate(body, start=2):
+        if len(row) != len(columns) + 1:
+            raise DataError(f"{path}: row {r}: expected {len(columns) + 1} fields, got {len(row)}")
+        if row[0] in students:
+            raise DataError(
+                f"{path}: row {r}: duplicate student {row[0]!r} (first on row {students[row[0]]})"
+            )
+        students[row[0]] = r
+        for c, (col, cell) in enumerate(zip(columns, row[1:])):
+            try:
+                val = float(cell)
+            except ValueError:
+                raise DataError(f"{path}: row {r}, column {col!r}: not a number: {cell!r}") from None
+            if not lo <= val <= hi:
+                raise DataError(f"{path}: row {r}, column {col!r}: {what} {val} outside [{lo}, {hi}]")
+            matrix[r - 2, c] = val
+    return tuple(students), matrix
+
+
+CLEAN_CELLS = ["0", "-0", "1", " 0.5 ", "5e-1", "1e-300"]
+FAULTS = ["unparsable", "out_of_range", "nan", "inf", "short", "long", "duplicate"]
+
+
+@st.composite
+def faulty_tables(draw):
+    """(rows, columns, lo, hi): a small table of clean cells, with none, one
+    or two faults at random rows and columns."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 4))
+    lo, hi = draw(st.sampled_from([(0, 1), (0, 100)]))
+    columns = [f"Q{j}" for j in range(m)]
+    body = [[f"s{i}", *draw(st.lists(st.sampled_from(CLEAN_CELLS), min_size=m, max_size=m))]
+            for i in range(n)]
+    for fault in draw(st.lists(st.sampled_from(FAULTS), max_size=2)):
+        i = draw(st.integers(0, n - 1))
+        j = draw(st.integers(1, m))
+        if fault == "short":
+            del body[i][-1]
+        elif fault == "long":
+            body[i].append("0")
+        elif fault == "duplicate":
+            if n > 1:  # another row's student
+                body[i][0] = body[(i + draw(st.integers(1, n - 1))) % n][0]
+        elif j < len(body[i]):
+            body[i][j] = {"unparsable": "x", "out_of_range": draw(st.sampled_from(["-0.5", "101"])),
+                          "nan": "nan", "inf": "inf"}[fault]
+    return [["student", *columns], *body], columns, lo, hi
 
 
 class TestLoaderErrors:
@@ -278,6 +337,37 @@ class TestLoaderErrors:
         assert str(err.value) == (
             f"{tmp_path / 'c.csv'}: row 2, column 'midterm': component score 101.0 outside [0, 100]"
         )
+
+    @settings(max_examples=300, deadline=None)
+    @given(table=faulty_tables())
+    def test_student_table_agrees_with_the_per_cell_loop(self, table):
+        rows, columns, lo, hi = table
+        try:
+            expected = reference_student_table(Path("t.csv"), rows, columns, lo, hi, "score")
+        except DataError as exc:
+            with pytest.raises(DataError) as err:
+                dataio._student_table(Path("t.csv"), rows, columns, lo, hi, "score")
+            assert str(err.value) == str(exc)
+        else:
+            students, matrix = dataio._student_table(Path("t.csv"), rows, columns, lo, hi, "score")
+            assert students == expected[0]
+            assert matrix.dtype == expected[1].dtype and matrix.shape == expected[1].shape
+            assert matrix.tobytes() == expected[1].tobytes()
+
+    @pytest.mark.parametrize("header, message", [
+        # listed in header order
+        ("student,Q9,Q1,Q2,Q3,Q0", "unknown question ids in header: ['Q9', 'Q0']"),
+        # listed in questions-file order
+        ("student,Q2", "score columns missing for questions: ['Q3', 'Q1']"),
+    ])
+    def test_header_ids_are_listed_in_file_order(self, tmp_path, header, message):
+        fs = self.fileset(
+            tmp_path, scores=header + "\n",
+            questions="id,kind,max_points,parent\nQ3,mc,30,\nQ2,mc,30,\nQ1,mc,40,\n",
+        )
+        with pytest.raises(DataError) as err:
+            dataio.load_gradebook(fs, check_consistency=False)
+        assert str(err.value) == f"{tmp_path / 's.csv'}: {message}"
 
     def test_consistency_check_applied(self, tmp_path):
         # final component 50 but actual exam total 100
