@@ -113,6 +113,8 @@ def build_parser() -> _Parser:
 
 def _check_combinations(parser: _Parser, args) -> None:
     """Usage errors that argparse cannot express on its own."""
+    if args.command == "analyze" and args.extremes is not None and args.extremes < 1:
+        parser.error(f"argument --extremes: K must be at least 1, got {args.extremes}")
     if args.command != "evaluate" or args.format != "json":
         return
     if args.compare_exclusion:

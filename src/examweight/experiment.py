@@ -8,14 +8,13 @@ the uniform/actual baselines bypass LOOCV since their weights are constant.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import gradebook as gb
-from . import linalg, solvers
-from .errors import ConvergenceError, DataError
+from . import solvers
+from .errors import ConvergenceError, DataError, with_context
 from .solvers import SolverConfig, WeightSolution
 
 APPROACHES = (
@@ -32,12 +31,6 @@ APPROACHES = (
 _FOLD_GRADIENT_CEILING = 1e-4
 
 
-def _with_context(exc: ConvergenceError | DataError, context: str) -> Exception:
-    """The project error of exc's kind, its message prefixed with context."""
-    kind = ConvergenceError if isinstance(exc, ConvergenceError) else DataError
-    return kind(f"{context}: {exc}")
-
-
 # (fold solutions in student order, their coordinate-wise mean)
 Fit = tuple[list[WeightSolution], WeightSolution]
 
@@ -50,105 +43,22 @@ def loocv_fit(
 ) -> list[Fit]:
     """n fits, fold k trained on all students except k, then averaged.
 
-    targets is an n-by-k matrix with one target per column.  Returns a list
-    of k pairs (fold solutions in student order, coordinate-wise mean
-    solution), one per column.
-
-    An entry of ``solvers.FITTERS`` whose signature takes leave_one_out
-    (so a wrapper of the fitter sees the call) is first called once with
-    ``leave_one_out=True``.  For ols_closed_form and linear_intercept that
-    gives every fold of every column from one SVD of the design, whatever
-    its shape or rank (linalg.loo_min_norm), unless the accuracy guard
-    declines it.  Then, and for the other solvers, each fold is fit on its
-    own, once per distinct column: columns with the same bytes (so -0.0 and
-    0.0 differ) share the folds of the first of them, as the actual and
-    normalized targets do when the overall mean equals the exam's.
-
-    An entry whose signature takes start (nnls) starts each fold that
-    linalg.loo_full_column_rank certifies: one whose Gram matrix passes the
-    conditioning test that linalg.solve_min_norm applies to every Gram
-    solve, so it has full column rank and a unique optimum.  When any fold
-    is certified, the full cohort of each distinct column is fit first,
-    starting from the column's least-squares solution.  Each certified fold
-    starts from its own least-squares solution on the support of that fit,
-    all of them from one linalg.loo_min_norm downdate; when its guard
-    declines, or the support is empty, they start cold.  A start changes
-    the work, not the weights, and a fit whose start passes the iteration
-    cap is refit cold.
-    The other folds, and every fold of a column whose full fit fails, start
-    cold.  A fold's ConvergenceError or DataError is re-raised with the fold
-    in its message and, in its ``column`` attribute, the index of the first
-    column equal to the target that failed.
+    targets is an n-by-k matrix with one target per column, and s the n-row
+    design.  Returns a list of k pairs (fold solutions in student order,
+    coordinate-wise mean solution), one per column.  The folds come from
+    solvers.leave_one_out_fits, which states how each solver's folds are
+    fit, and which raises a fold's ConvergenceError or DataError with the
+    fold in its message and the failing column in its ``column`` attribute.
     """
-    s = np.asarray(s, dtype=float)
     targets = np.asarray(targets, dtype=float)
     if targets.ndim != 2:
         raise ValueError(f"targets must be an n-by-k matrix, got shape {targets.shape}")
-    n = len(targets)
-    if n < 2:
+    if len(targets) < 2:
         raise ValueError("leave-one-out needs at least 2 students")
     if solver not in solvers.FITTERS:
         raise ValueError(f"unknown solver {solver!r}; registered: {', '.join(solvers.FITTERS)}")
-    fitter = solvers.FITTERS[solver]
-    parameters = inspect.signature(fitter).parameters
-    columns = None
-    if "leave_one_out" in parameters:
-        columns = fitter(s, targets, cfg, leave_one_out=True)
-    if columns is None:
-        warm = np.zeros(n, dtype=bool)
-        if "start" in parameters:
-            warm = linalg.loo_full_column_rank(s)
-        fits = {}  # a column's bytes -> the folds of the first column with them
-        columns = []
-        for t in range(targets.shape[1]):
-            key = targets[:, t].tobytes()
-            if key not in fits:
-                fits[key] = _fold_fits(s, targets[:, t], fitter, cfg, t, warm)
-            columns.append(fits[key])
+    columns = solvers.leave_one_out_fits(solver, s, targets, cfg)
     return [(folds, _average(folds)) for folds in columns]
-
-
-def _fold_fits(s, a, fitter, cfg, column, warm) -> list[WeightSolution]:
-    """Every fold's fit; fold k starts warm if warm[k] (``_warm_starts``)."""
-    n = len(a)
-    starts = [None] * n
-    if warm.any():
-        try:
-            starts = _warm_starts(s, a, fitter, cfg, warm)
-        except ConvergenceError:
-            pass  # every fold starts cold
-    folds: list[WeightSolution] = []
-    for k in range(n):
-        keep = np.arange(n) != k
-        try:
-            folds.append(_fit_fold(fitter, s[keep], a[keep], cfg, starts[k]))
-        except (ConvergenceError, DataError) as exc:
-            err = _with_context(exc, f"fold {k}")
-            err.column = column
-            raise err from exc
-    return folds
-
-
-def _warm_starts(s, a, fitter, cfg, warm) -> list[np.ndarray | None]:
-    """Per fold, its start weights, None unless warm[k] (``loocv_fit`` states
-    the rule); raises ConvergenceError when the full cohort's fit fails."""
-    full = _fit_fold(fitter, s, a, cfg, linalg.solve_min_norm(s, a, gram=s.T @ s))
-    support = full.question_weights > 0
-    loo = linalg.loo_min_norm(s[:, support], a[:, None]) if support.any() else None
-    if loo is None:
-        return [None] * len(a)
-    weights = np.zeros((len(a), s.shape[1]))
-    weights[:, support] = loo[:, :, 0]
-    return [x if w else None for x, w in zip(weights, warm)]
-
-
-def _fit_fold(fitter, s, a, cfg, start) -> WeightSolution:
-    if start is not None:
-        try:
-            return fitter(s, a, cfg, start=start)
-        except ConvergenceError:
-            pass  # the start's extra solves may pass the cap; a cold fit decides
-    return fitter(s, a, cfg)
 
 
 def _average(folds: list[WeightSolution]) -> WeightSolution:
@@ -227,7 +137,7 @@ def evaluate(
         except (ConvergenceError, DataError) as exc:
             column = getattr(exc, "column", None)
             where = approach if column is None else f"{approach} ({', '.join(cells[column])})"
-            raise _with_context(exc, where) from exc
+            raise with_context(exc, where) from exc
         for t, (scale, exclusion) in enumerate(cells):
             folds, averaged = fits[t]
             unconverged = tuple(k for k, f in enumerate(folds) if not f.converged)

@@ -12,13 +12,15 @@ questions); weights therefore carry units of points.
 
 from __future__ import annotations
 
+import contextlib
+import inspect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .errors import ConvergenceError
+from .errors import ConvergenceError, DataError, with_context
 
 OLS_CLOSED_FORM = "ols_closed_form"
 LINEAR_INTERCEPT = "linear_intercept"
@@ -112,9 +114,9 @@ class WeightSolution:
         return self.stop_reason in (None, STOP_GRADIENT)
 
 
-def _check_design(s, a) -> tuple[np.ndarray, np.ndarray]:
+def _check_design(s, a, as_target=linalg.as_vector) -> tuple[np.ndarray, np.ndarray]:
     s = linalg.as_matrix(s)
-    a = linalg.as_vector(a)
+    a = as_target(a)
     if s.shape[0] != len(a):
         raise ValueError(
             f"dimension mismatch: {s.shape[0]} score rows vs {len(a)} targets"
@@ -487,7 +489,7 @@ def fit_nnls(s, a, cfg: SolverConfig = DEFAULT_CONFIG, *, start=None) -> WeightS
     the intercept is fixed at 0.  Candidate selection ties are broken toward
     the smallest column index for determinism.
 
-    With start, a weight vector that guesses the answer (experiment.loocv_fit
+    With start, a weight vector that guesses the answer (leave_one_out_fits
     states which fits get one), the first passive set is start's positive
     weights: the fit solves on it and drops the nonpositive coordinates
     until the solution is feasible, then runs the active-set loop from there
@@ -604,17 +606,15 @@ def predict(sol: WeightSolution, s) -> np.ndarray:
     return sol.intercept + s @ sol.question_weights
 
 
-# Each entry is called as fitter(s, a, cfg) for one fit.  experiment.loocv_fit
-# fits each fold once per distinct target column: equal columns share one
-# set of fold fits.  An entry whose signature takes leave_one_out is first
-# called once per leave-one-out run, with every column (the min-norm
-# fitters answer it from one SVD of any design), and per fold only when
-# that returns None, as it does when the accuracy guard declines the
-# design.  An entry whose signature takes start (fit_nnls) gets start=
-# weights for the fits loocv_fit's docstring names; a call whose start
-# passes the cap is repeated without it.
-# A functools.wraps wrapper reports the signature of the fitter it wraps,
-# so it must pass these keywords through.
+# Each entry is called as fitter(s, a, cfg) for one fit, and looked up here by
+# leave_one_out_fits at each leave-one-out run, so a replaced or wrapped
+# entry is the one used.  leave_one_out_fits reads an entry's signature: one
+# that takes leave_one_out is first called once with every column (the
+# min-norm fitters answer it from one SVD of any design), and per fold only
+# when that returns None, as it does when the accuracy guard declines the
+# design; one that takes start (fit_nnls) gets start= weights for the fits
+# that leave_one_out_fits names.  A functools.wraps wrapper reports the
+# signature of the fitter it wraps, so it must pass these keywords through.
 #
 # The benchmark's tracer (bench/tracing.py) wraps every entry and hands
 # each return value to a counter that reads .iterations, so a per-fold entry
@@ -629,3 +629,94 @@ FITTERS = {
     HUBER: fit_huber,
     NNLS: fit_nnls,
 }
+
+
+def leave_one_out_fits(
+    solver: str, s, targets, cfg: SolverConfig = DEFAULT_CONFIG
+) -> list[list[WeightSolution]]:
+    """Every leave-one-out fold fit of FITTERS[solver], [column][fold]: fold
+    k of a column is trained on all rows of s and of that column but k.
+
+    targets is an n-by-k matrix with one target per column, and s must be a
+    finite n-row design.  The entry is looked up when the run starts, and
+    its signature sets the run (the comment above FITTERS):
+
+    * An entry that takes leave_one_out is first called once with every
+      column.  For ols_closed_form and linear_intercept that gives every
+      fold of every column from one SVD of the design, whatever its shape or
+      rank (linalg.loo_min_norm), unless the accuracy guard declines it.
+    * Then, and for the other solvers, each fold is fit on its own, once per
+      distinct column: columns with the same bytes (so -0.0 and 0.0 differ)
+      share the folds of the first of them, as the actual and normalized
+      targets do when the overall mean equals the exam's.
+    * An entry that takes start (nnls) starts each fold that
+      linalg.loo_full_column_rank certifies: one whose Gram matrix passes
+      the conditioning test that linalg.solve_min_norm applies to every
+      Gram solve, so it has full column rank and a unique optimum.  When any
+      fold is certified, the full cohort of each distinct column is fit
+      first, starting from the column's least-squares solution.  Each
+      certified fold starts from its own least-squares solution on the
+      support of that fit, all of them from one linalg.loo_min_norm
+      downdate; when its guard declines, or the support is empty, they start
+      cold.  A start changes the work, not the weights, and a fit whose
+      start passes the iteration cap is refit cold.  The other folds, and
+      every fold of a column whose full fit fails, start cold.
+
+    A fold's ConvergenceError or DataError is re-raised with the fold in its
+    message and, in its ``column`` attribute, the index of the first column
+    equal to the target that failed.
+    """
+    s, targets = _check_design(s, targets, np.asarray)
+    fitter = FITTERS[solver]
+    parameters = inspect.signature(fitter).parameters
+    if "leave_one_out" in parameters:
+        columns = fitter(s, targets, cfg, leave_one_out=True)
+        if columns is not None:
+            return columns
+    warm = linalg.loo_full_column_rank(s) if "start" in parameters else np.zeros(len(s), bool)
+    fits = {}  # a column's bytes -> the folds of the first column with them
+    for t, a in enumerate(targets.T):
+        if a.tobytes() not in fits:
+            fits[a.tobytes()] = _fold_fits(s, a, fitter, cfg, t, warm)
+    return [fits[a.tobytes()] for a in targets.T]
+
+
+def _fold_fits(s, a, fitter, cfg, column, warm) -> list[WeightSolution]:
+    """Every fold's fit; fold k starts warm if warm[k] (``_warm_starts``)."""
+    n = len(a)
+    starts = _warm_starts(s, a, fitter, cfg, warm) if warm.any() else [None] * n
+    folds = []
+    for k in range(n):
+        keep = np.arange(n) != k
+        try:
+            folds.append(_fit(fitter, s[keep], a[keep], cfg, starts[k]))
+        except (ConvergenceError, DataError) as exc:
+            err = with_context(exc, f"fold {k}")
+            err.column = column
+            raise err from exc
+    return folds
+
+
+def _warm_starts(s, a, fitter, cfg, warm) -> list[np.ndarray | None]:
+    """Per fold, its start weights, None unless warm[k] (``leave_one_out_fits``
+    states the rule)."""
+    try:
+        full = _fit(fitter, s, a, cfg, linalg.solve_min_norm(s, a, gram=s.T @ s))
+        support = full.question_weights > 0
+    except ConvergenceError:
+        support = np.zeros(s.shape[1], dtype=bool)  # every fold starts cold
+    loo = linalg.loo_min_norm(s[:, support], a[:, None]) if support.any() else None
+    if loo is None:
+        return [None] * len(a)
+    weights = np.zeros((len(a), s.shape[1]))
+    weights[:, support] = loo[:, :, 0]
+    return [x if w else None for x, w in zip(weights, warm)]
+
+
+def _fit(fitter, s, a, cfg, start) -> WeightSolution:
+    """fitter's fit from start, or a cold one when start is None or its fit
+    fails: a start's extra solves may pass the iteration cap."""
+    if start is not None:
+        with contextlib.suppress(ConvergenceError):
+            return fitter(s, a, cfg, start=start)
+    return fitter(s, a, cfg)

@@ -168,6 +168,16 @@ class TestAnalyze:
         rows = list(csv.reader(io.StringIO(out)))
         assert [r[0] for r in rows[1:]] == ["top", "top", "bottom", "bottom"]
 
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_extremes_below_one_is_a_usage_error(self, tmp_path, capsys, k):
+        # rejected before any file is read: none of these files exists
+        book = {flag: str(tmp_path / name) for flag, name in
+                [("--scores", "s.csv"), ("--questions", "q.csv"), ("--components", "c.csv")]}
+        code, out, err = run_cli(["analyze", *gradebook_args(book), "--extremes", k], capsys)
+        assert code == 64 and out == ""
+        assert err.splitlines()[-1] == (
+            f"examweight: error: argument --extremes: K must be at least 1, got {k}")
+
     def test_degenerate(self, files, capsys):
         code, out, _ = run_cli(
             ["analyze", *gradebook_args(files), "--degenerate"], capsys

@@ -71,6 +71,22 @@ class TestLoocvFit:
         with pytest.raises(ValueError, match="at least 2"):
             experiment.loocv_fit(np.eye(1), [[1.0]], solvers.OLS_CLOSED_FORM)
 
+    @pytest.mark.parametrize("solver", list(solvers.FITTERS))
+    @pytest.mark.parametrize("shape", [(6, 3), (6, 8)], ids=["tall", "wide"])
+    def test_the_design_is_checked_before_any_fit(self, monkeypatch, solver, shape):
+        calls = recording_entry(monkeypatch, solver)
+        s = np.random.default_rng(0).random(shape)
+        with pytest.raises(ValueError, match=r"^dimension mismatch: 6 score rows vs 5 targets$"):
+            experiment.loocv_fit(s, np.ones((5, 1)), solver)
+        with pytest.raises(ValueError, match=r"^dimension mismatch: 6 score rows vs 5 targets$"):
+            solvers.leave_one_out_fits(solver, s, np.ones((5, 1)))
+        s[2, 1] = np.nan
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            experiment.loocv_fit(s, np.ones((6, 1)), solver)
+        with pytest.raises(ValueError, match="^expected a 2-D matrix, got ndim=1$"):
+            experiment.loocv_fit(s[0], np.ones((6, 1)), solver)
+        assert calls == []
+
     def test_unknown_solver_names_the_registered_ones(self):
         registered = ", ".join(solvers.FITTERS)
         with pytest.raises(ValueError, match=rf"^unknown solver 'foo'; registered: {registered}$"):

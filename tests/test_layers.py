@@ -106,3 +106,42 @@ def test_imports_go_down_and_stay_public(path):
 def test_the_checker_sees_each_kind_of_violation(source, module, count):
     rank = TOP if module is None else RANK[module]
     assert len(violations(source, module, rank)) == count
+
+
+def imported_modules(tree):
+    """Every module that tree imports, by its last dotted part ("from . import
+    linalg" imports linalg)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                names.add(node.module.rsplit(".", 1)[-1])
+            if not node.module or node.module == "examweight":
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_experiment_keeps_only_the_protocol():
+    # how a solver's folds are fit is solvers' rule: experiment reads no
+    # signature and calls no linear algebra of its own
+    tree = ast.parse((PACKAGE / "experiment.py").read_text())
+    assert imported_modules(tree).isdisjoint({"inspect", "linalg"})
+    names = {getattr(node, attr) for node in ast.walk(tree)
+             for attr in ("id", "attr", "arg") if isinstance(getattr(node, attr, None), str)}
+    assert names.isdisjoint({"start", "leave_one_out"})
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_only_solvers_reads_a_signature(path):
+    calls = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr == "signature"]
+    assert calls == [] or path == PACKAGE / "solvers.py"
+
+
+def test_imported_modules_sees_each_form():
+    source = ("import inspect\nfrom . import linalg, solvers\nfrom .errors import DataError\n"
+              "from examweight import gradebook\nimport numpy.linalg\n")
+    assert imported_modules(ast.parse(source)) == {
+        "inspect", "linalg", "solvers", "errors", "gradebook", "examweight"}

@@ -6,7 +6,8 @@ MAE cell of the report exactly.  The layout changes are:
 
 * permuting the rows of the questions file, which sets the question order;
 * permuting the rows and columns of the scores file;
-* relabeling the students and questions.
+* relabeling the students and questions;
+* permuting the rows of the components file, which sets the student order.
 
 Two known exceptions are marked xfail(strict=True), each naming the roadmap
 item that will make it pass, so that each fails loudly once its item lands.
@@ -22,7 +23,8 @@ from examweight import dataio, experiment, solvers, synthetic
 WIDE = dict(seed=7)  # the paper's 9 x 53 shape, noiseless
 TALL = dict(seed=3, noise=4.0, students=24, mc_questions=8, tf_questions=4,
             analytical_questions=2, analytical_subparts=4)  # 24 x 14, noisy
-LAYOUTS = ("question_rows", "score_rows_and_columns", "labels")
+# a new layout goes last, so the layouts before it draw the same permutations
+LAYOUTS = ("question_rows", "score_rows_and_columns", "labels", "component_rows")
 
 
 def read_rows(path):
@@ -50,6 +52,8 @@ def relaid(fileset, layout, rng, out_dir):
         cols = [0, *(1 + rng.permutation(len(ids)))]
         scores = [[row[c] for c in cols] for row in scores]
         scores[1:] = [scores[1:][i] for i in rng.permutation(len(scores) - 1)]
+    elif layout == "component_rows":
+        components[1:] = [components[1:][i] for i in rng.permutation(len(components) - 1)]
     else:
         renamed = {q: f"Q{i}" for q, i in zip(ids, rng.permutation(len(ids)))}
         students = [row[0] for row in components[1:]]
