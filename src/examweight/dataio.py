@@ -73,29 +73,28 @@ def _read_rows(path: Path) -> list[list[str]]:
 def _write_files(writers: dict[Path, Callable[[TextIO], None]], newline: str | None = None) -> None:
     """Write each file by calling its writer on a text stream.
 
-    Each file goes to a new temporary sibling of the file a path names
-    (through any symlink), and the siblings are moved onto those files only
-    after every one is complete and no path is a directory; otherwise they
-    are removed and no path is touched.  A device or pipe, such as
-    /dev/null, is written in place.  A failed open, write or move raises
-    DataError naming the path.
+    A path that names a directory, through any symlink, is refused; one that
+    names another existing file that is not regular, such as /dev/null or a
+    pipe, is written in place.  Any other file goes to a new temporary
+    sibling of the file a path names, and the siblings are moved onto those
+    files only after every one is complete; otherwise they are removed and
+    no path is touched.  A failed open, write or move raises DataError
+    naming the path.
     """
     staged: list[tuple[Path, Path, Path]] = []  # (path, temporary file, target)
     try:
         for path, write in writers.items():
             with _naming(path):
-                target = path.resolve()
-                if target.exists() and not (target.is_file() or target.is_dir()):
-                    stream, mode = target, "w"
+                if path.is_dir():
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+                if path.exists() and not path.is_file():
+                    stream, mode = path, "w"
                 else:
+                    target = path.resolve()
                     stream, mode = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp"), "x"
                     staged.append((path, stream, target))
                 with open(stream, mode, newline=newline, encoding="utf-8") as fh:
                     write(fh)
-        for path, _, target in staged:
-            with _naming(path):
-                if target.is_dir():
-                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         for path, tmp, target in staged:
             with _naming(path):
                 os.replace(tmp, target)

@@ -46,17 +46,9 @@ def loocv_fit(
     targets is an n-by-k matrix with one target per column, and s the n-row
     design.  Returns a list of k pairs (fold solutions in student order,
     coordinate-wise mean solution), one per column.  The folds come from
-    solvers.leave_one_out_fits, which states how each solver's folds are
-    fit, and which raises a fold's ConvergenceError or DataError with the
-    fold in its message and the failing column in its ``column`` attribute.
+    solvers.leave_one_out_fits, which checks the arguments and states how
+    each solver's folds are fit and how a fold's error is raised.
     """
-    targets = np.asarray(targets, dtype=float)
-    if targets.ndim != 2:
-        raise ValueError(f"targets must be an n-by-k matrix, got shape {targets.shape}")
-    if len(targets) < 2:
-        raise ValueError("leave-one-out needs at least 2 students")
-    if solver not in solvers.FITTERS:
-        raise ValueError(f"unknown solver {solver!r}; registered: {', '.join(solvers.FITTERS)}")
     columns = solvers.leave_one_out_fits(solver, s, targets, cfg)
     return [(folds, _average(folds)) for folds in columns]
 

@@ -181,14 +181,17 @@ def _gram_solve(a, y, gram):
 
 
 def center(a) -> tuple[np.ndarray, np.ndarray]:
-    """(Q, Q^T a): Q is an orthonormal n-by-(n - 1) basis of the zero-sum
-    vectors, so Q Q^T a is a with its columns de-meaned, and Q^T a has its
-    singular values without the exactly null direction that rounding can
-    lift past a rank cutoff.  Formed as Q^T (a - a[0]), which keeps a
-    constant column exactly zero where subtracting a rounded mean may not.
+    """(Q, Q^T (a - a[0])): Q = I[:, 1:] - v v[1:]^T / (n - sqrt(n)), with
+    v = sqrt(n) e_1 - 1, is the last n - 1 columns of the Householder
+    reflector that maps e_1 to the ones vector over sqrt(n), an orthonormal
+    basis of the zero-sum vectors.  Q^T a lacks the null direction that
+    rounding can lift past a rank cutoff, and subtracting a[0], not a
+    rounded mean, keeps a constant column exactly zero.
     """
     n = len(a)
-    basis = np.linalg.qr(np.eye(n)[:, 1:] - np.eye(n)[:, :1])[0]
+    v = np.full(n, -1.0)
+    v[0] += math.sqrt(n)
+    basis = np.eye(n)[:, 1:] - np.outer(v, v[1:]) / (n - math.sqrt(n))
     return basis, basis.T @ (a - a[0])
 
 

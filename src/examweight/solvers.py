@@ -158,7 +158,8 @@ def fit_linear_intercept(
     means.
 
     Training residuals have exactly zero mean; a constant column (e.g. a
-    question everyone answered) centers to exactly zero and gets weight 0.
+    question everyone answered) centers to exactly zero and gets weight 0
+    to rounding.
 
     With leave_one_out, as for fit_ols_closed_form, from one SVD of the
     design centered the same way.
@@ -570,7 +571,6 @@ def fit_nnls(s, a, cfg: SolverConfig = DEFAULT_CONFIG, *, start=None) -> WeightS
             passive &= x > NNLS_TOLERANCE
             x[~passive] = 0.0
 
-    x[x < 0] = 0.0
     return WeightSolution(
         question_weights=x,
         intercept=0.0,
@@ -637,8 +637,8 @@ def leave_one_out_fits(
     """Every leave-one-out fold fit of FITTERS[solver], [column][fold]: fold
     k of a column is trained on all rows of s and of that column but k.
 
-    targets is an n-by-k matrix with one target per column, and s must be a
-    finite n-row design.  The entry is looked up when the run starts, and
+    targets is an n-by-k matrix, n >= 2, with one target per column, and s
+    must be a finite n-row design.  The entry is looked up when the run starts, and
     its signature sets the run (the comment above FITTERS):
 
     * An entry that takes leave_one_out is first called once with every
@@ -666,6 +666,13 @@ def leave_one_out_fits(
     message and, in its ``column`` attribute, the index of the first column
     equal to the target that failed.
     """
+    targets = np.asarray(targets, dtype=float)
+    if targets.ndim != 2:
+        raise ValueError(f"targets must be an n-by-k matrix, got shape {targets.shape}")
+    if len(targets) < 2:
+        raise ValueError("leave-one-out needs at least 2 students")
+    if solver not in FITTERS:
+        raise ValueError(f"unknown solver {solver!r}; registered: {', '.join(FITTERS)}")
     s, targets = _check_design(s, targets, np.asarray)
     fitter = FITTERS[solver]
     parameters = inspect.signature(fitter).parameters

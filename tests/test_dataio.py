@@ -523,6 +523,18 @@ class TestWriters:
         assert not reader.is_alive() and got == [self.GOLDEN]
         assert stat.S_ISFIFO(fifo.stat().st_mode)
 
+    @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="no /dev/fd")
+    def test_pipe_named_by_a_descriptor_is_written_in_place(self):
+        # as /dev/stdout is when stdout is a pipe: the name resolves to a
+        # pipe:[...] entry that names no file
+        r, w = os.pipe()
+        with os.fdopen(r, "rb") as reader:
+            try:
+                dataio.write_csv(self.HEADER, self.ROWS, Path(f"/dev/fd/{w}"))
+            finally:
+                os.close(w)
+            assert reader.read() == self.GOLDEN
+
     def test_csv_report_pair_is_written_together(self, cohort, tmp_path):
         (tmp_path / "r_weights.csv").mkdir()
         with pytest.raises(DataError, match="^" + re.escape(f"{tmp_path / 'r_weights.csv'}: ")):

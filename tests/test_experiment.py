@@ -70,6 +70,9 @@ class TestLoocvFit:
     def test_needs_two_students(self):
         with pytest.raises(ValueError, match="at least 2"):
             experiment.loocv_fit(np.eye(1), [[1.0]], solvers.OLS_CLOSED_FORM)
+        for solver in solvers.FITTERS:
+            with pytest.raises(ValueError, match="^leave-one-out needs at least 2 students$"):
+                solvers.leave_one_out_fits(solver, np.eye(1), [[1.0]])
 
     @pytest.mark.parametrize("solver", list(solvers.FITTERS))
     @pytest.mark.parametrize("shape", [(6, 3), (6, 8)], ids=["tall", "wide"])
@@ -91,6 +94,8 @@ class TestLoocvFit:
         registered = ", ".join(solvers.FITTERS)
         with pytest.raises(ValueError, match=rf"^unknown solver 'foo'; registered: {registered}$"):
             experiment.loocv_fit(np.eye(3), np.ones((3, 1)), "foo")
+        with pytest.raises(ValueError, match=rf"^unknown solver 'foo'; registered: {registered}$"):
+            solvers.leave_one_out_fits("foo", np.eye(3), np.ones((3, 1)))
         with pytest.raises(ValueError, match="unknown solver 'foo'"):
             experiment.evaluate(tall_linear_book(), "final", approaches=("foo",))
 
@@ -289,6 +294,9 @@ class TestSharedLoo:
         a = np.arange(5.0)
         with pytest.raises(ValueError, match=r"^targets must be an n-by-k matrix, got shape \(5,\)$"):
             experiment.loocv_fit(s, a, solvers.LINEAR_INTERCEPT)
+        for solver in solvers.FITTERS:
+            with pytest.raises(ValueError, match=r"^targets must be an n-by-k matrix, got shape \(5,\)$"):
+                solvers.leave_one_out_fits(solver, s, a)
         [(folds, _)] = experiment.loocv_fit(s, a[:, None], solvers.LINEAR_INTERCEPT)
         assert len(folds) == 5
 

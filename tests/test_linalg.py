@@ -1,10 +1,12 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-from examweight import linalg
+from examweight import gradebook as gb
+from examweight import linalg, solvers, synthetic
 from examweight.errors import ConvergenceError
 
 
@@ -551,3 +553,95 @@ class TestLooMinNorm:
             linalg.loo_min_norm(np.eye(2, 3), np.ones((3, 1)))
         with pytest.raises(ValueError, match="2-D"):
             linalg.loo_min_norm(np.eye(2, 3), np.ones(2))
+
+
+def qr_center(a):
+    """center by a QR of the n-by-(n - 1) difference matrix [e_j - e_1]: the
+    reference basis that center's closed form must match."""
+    n = len(a)
+    basis = np.linalg.qr(np.eye(n)[:, 1:] - np.eye(n)[:, :1])[0]
+    return basis, basis.T @ (a - a[0])
+
+
+LADDER = {
+    "wide-20x53": dict(seed=3, noise=4.0, students=20),
+    "tall-40x32": dict(seed=3, noise=4.0, students=40, mc_questions=16, tf_questions=8,
+                       analytical_questions=4, analytical_subparts=8),
+    "tall-200x120": dict(seed=3, noise=4.0, students=200, mc_questions=68, tf_questions=34,
+                         analytical_questions=6, analytical_subparts=18),
+}
+
+
+def linear_intercept_folds(s, targets):
+    """(shared, direct): every fold of every column from the shared path,
+    and 20 folds spread over the students from one fit_linear_intercept
+    each."""
+    shared = solvers.fit_linear_intercept(s, targets, leave_one_out=True)
+    assert shared is not None
+    sample = range(0, len(s), max(1, len(s) // 20))
+    direct = [[solvers.fit_linear_intercept(np.delete(s, k, axis=0), np.delete(a, k))
+               for k in sample] for a in targets.T]
+    return shared, direct
+
+
+class TestCenter:
+    @pytest.mark.parametrize("n", [2, 3, 9, 40, 200])
+    def test_basis_is_orthonormal_and_zero_sum(self, n):
+        a = np.random.default_rng(n).random((n, 3))
+        basis, centered = linalg.center(a)
+        eps = np.finfo(float).eps
+        assert basis.shape == (n, n - 1)
+        assert np.abs(basis.T @ basis - np.eye(n - 1)).max() <= 8 * eps
+        assert np.abs(np.ones(n) @ basis).max() <= 8 * eps
+        np.testing.assert_array_equal(centered, basis.T @ (a - a[0]))
+        # Q Q^T de-means the columns
+        np.testing.assert_allclose(basis @ centered, a - a.mean(axis=0), atol=1e-14)
+
+    def test_one_row_has_an_empty_basis(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            basis, centered = linalg.center(np.ones((1, 3)))
+        assert basis.shape == (1, 0) and centered.shape == (0, 3)
+
+    def test_needs_no_qr(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("center called a QR")
+
+        monkeypatch.setattr(np.linalg, "qr", fail)
+        basis, centered = linalg.center(np.arange(12.0).reshape(4, 3) ** 2)
+        assert basis.shape == (4, 3) and centered.shape == (3, 3)
+
+    def test_a_constant_column_centers_to_exactly_zero(self, monkeypatch):
+        s = np.random.default_rng(4).random((9, 5))
+        s[:, 2] = 0.1  # 0.1 - mean(0.1, ...) need not round to 0
+        a = s @ np.arange(1.0, 6.0) + 0.5
+        # the direct path
+        np.testing.assert_array_equal(linalg.center(s)[1][:, 2], 0.0)
+        # the SVD leaves its weight at rounding, not at exactly 0
+        assert abs(solvers.fit_linear_intercept(s, a).question_weights[2]) <= 1e-14
+        # the shared path: the design loo_min_norm factors
+        factored = []
+        original = linalg.svd
+        monkeypatch.setattr(linalg, "svd", lambda m: factored.append(m) or original(m))
+        assert linalg.loo_min_norm(s, a[:, None], centered=True) is not None
+        [design] = factored
+        assert design.shape == (8, 5)
+        np.testing.assert_array_equal(design[:, 2], 0.0)
+
+    @pytest.mark.parametrize("spec", list(LADDER))
+    def test_linear_intercept_folds_match_a_qr_basis(self, monkeypatch, spec):
+        book = synthetic.generate_gradebook(synthetic.SyntheticSpec(**LADDER[spec]))
+        s = book.exams["final"]
+        targets = np.column_stack([
+            gb.ability(book, "final", gb.ACTUAL_SCALE, exclusion)
+            for exclusion in (gb.INCLUDE_EXAM, gb.EXCLUDE_EXAM)
+        ])
+        got = linear_intercept_folds(s, targets)
+        monkeypatch.setattr(linalg, "center", qr_center)
+        want = linear_intercept_folds(s, targets)
+        for got_path, want_path in zip(got, want):
+            for got_folds, want_folds in zip(got_path, want_path):
+                for g, w in zip(got_folds, want_folds, strict=True):
+                    x = np.append(g.question_weights, g.intercept)
+                    y = np.append(w.question_weights, w.intercept)
+                    assert np.linalg.norm(x - y) <= 1e-10 * np.linalg.norm(y)
