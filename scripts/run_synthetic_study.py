@@ -48,18 +48,16 @@ def main():
           f"{len(book.question_ids(spec.exam))} questions -> {out_dir}/")
 
     print("\nMAE by approach and target scale")
-    comparison = experiment.exclusion_comparison(book, spec.exam)
-    report = comparison.report
+    report = experiment.evaluate(book, spec.exam, exclusions=(gb.INCLUDE_EXAM, gb.EXCLUDE_EXAM))
     print_table(*dataio.mae_table(report))
     include_only = tuple(r for r in report.records if r.exclusion == gb.INCLUDE_EXAM)
     dataio.write_report(dataclasses.replace(report, records=include_only), out_dir / "report.csv")
 
     print("\nlargest weight shifts when the exam component is excluded")
-    for delta in comparison.deltas:
-        if delta.scale != "actual":
-            continue
-        moved = [f"{q}:{d:+.3f}" for q, d in delta.weight_deltas[:3]]
-        print(f"  {delta.approach:>16}  {'  '.join(moved)}")
+    for approach in experiment.APPROACHES:
+        deltas = analysis.weight_deltas(report, approach, gb.ACTUAL_SCALE)
+        moved = [f"{q}:{d:+.3f}" for q, d in deltas[:3]]
+        print(f"  {approach:>16}  {'  '.join(moved)}")
 
     solver = SOLVER_ALIASES[args.solver]
     top, bottom = analysis.extreme_questions(report, solver, k=args.extremes)

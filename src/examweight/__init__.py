@@ -18,8 +18,10 @@ from .solvers import (
     fit_ols_closed_form,
     predict,
 )
-from .experiment import EvaluationReport, evaluate, exclusion_comparison, loocv_fit
-from .analysis import QuestionDiagnostic, degenerate_questions, distribution_table, extreme_questions
+from .experiment import EvaluationReport, evaluate, loocv_fit
+from .analysis import (
+    QuestionDiagnostic, degenerate_questions, distribution_table, extreme_questions, weight_deltas,
+)
 from .synthetic import SyntheticSpec, generate_gradebook
 from .dataio import GradebookFileSet, load_gradebook, write_gradebook_files, write_report
 

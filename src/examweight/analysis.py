@@ -1,4 +1,5 @@
-"""Question-level diagnostics: extreme-weight identification, per-question
+"""Question-level diagnostics: extreme-weight identification, the weight
+shifts between the include- and exclude-exam targets, per-question
 score-vs-ability distribution tables, and degenerate/duplicate detection.
 """
 
@@ -44,6 +45,23 @@ def extreme_questions(
     top = sorted(pairs, key=lambda p: (-p[1], p[0]))[:k]
     bottom = sorted(pairs, key=lambda p: (p[1], p[0]))[:k]
     return top, bottom
+
+
+def weight_deltas(
+    report: EvaluationReport, approach: str, scale: str
+) -> list[tuple[str, float]]:
+    """Per question, the averaged weight on the include-exam target minus the
+    one on the exclude-exam target, largest magnitude first, ties broken by
+    question id.
+
+    The report must hold both exclusions of the cell; a missing record
+    raises KeyError naming it.
+    """
+    include = report.get(approach, scale, gb.INCLUDE_EXAM).averaged_weights
+    exclude = report.get(approach, scale, gb.EXCLUDE_EXAM).averaged_weights
+    deltas = include.question_weights - exclude.question_weights
+    pairs = [(q, float(d)) for q, d in zip(report.question_ids, deltas)]
+    return sorted(pairs, key=lambda p: (-abs(p[1]), p[0]))
 
 
 def distribution_table(

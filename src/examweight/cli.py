@@ -124,19 +124,17 @@ def _check_combinations(parser: _Parser, args) -> None:
         parser.error("--format json needs --out; the table printed to stdout is CSV")
 
 
-def _load(args) -> gb.Gradebook:
+def _load(args) -> tuple[gb.Gradebook, solvers.SolverConfig]:
+    """The gradebook and the solver options, checked in that order, so a bad
+    input file is reported before a bad --alpha or --epsilon."""
     fileset = dataio.GradebookFileSet(
         scores={args.exam: Path(args.scores)},
         questions={args.exam: Path(args.questions)},
         components=Path(args.components),
     )
-    return dataio.load_gradebook(fileset, check_consistency=not args.no_consistency_check)
-
-
-def _config(args) -> solvers.SolverConfig:
-    return solvers.SolverConfig(
-        huber_epsilon=args.epsilon, huber_regularization=args.alpha
-    )
+    book = dataio.load_gradebook(fileset, check_consistency=not args.no_consistency_check)
+    cfg = solvers.SolverConfig(huber_epsilon=args.epsilon, huber_regularization=args.alpha)
+    return book, cfg
 
 
 def _scales(flag: str) -> tuple[str, ...]:
@@ -163,39 +161,44 @@ def _warn_unconverged(report: experiment.EvaluationReport, strict: bool) -> None
             print(f"warning: {msg}", file=sys.stderr)
 
 
+def _evaluate(
+    args, scales, exclusions=(gb.INCLUDE_EXAM,), approaches=experiment.APPROACHES
+) -> experiment.EvaluationReport:
+    """experiment.evaluate on the loaded gradebook with the solver options,
+    warning of unconverged folds (raising under --strict)."""
+    book, cfg = _load(args)
+    report = experiment.evaluate(book, args.exam, cfg, scales, exclusions, approaches)
+    _warn_unconverged(report, args.strict)
+    return report
+
+
 def _cmd_fit(args) -> int:
-    book = _load(args)
-    cfg = _config(args)
     exclusion = gb.EXCLUDE_EXAM if args.exclude_exam else gb.INCLUDE_EXAM
     approaches = (
         tuple(SOLVER_ALIASES.values()) if args.solver == "all"
         else (SOLVER_ALIASES[args.solver],)
     )
-    report = experiment.evaluate(
-        book, args.exam, cfg, _scales(args.scale), (exclusion,), approaches
-    )
-    _warn_unconverged(report, args.strict)
+    report = _evaluate(args, _scales(args.scale), (exclusion,), approaches)
     dataio.write_csv(dataio.WEIGHT_HEADER, dataio.weight_rows(report), args.out)
     return EXIT_OK
 
 
 def _cmd_evaluate(args) -> int:
-    book = _load(args)
-    cfg = _config(args)
+    scales = _scales(args.scale)
     if args.compare_exclusion:
-        comparison = experiment.exclusion_comparison(book, args.exam, cfg, _scales(args.scale))
-        _warn_unconverged(comparison.report, args.strict)
+        report = _evaluate(args, scales, (gb.INCLUDE_EXAM, gb.EXCLUDE_EXAM))
         header = ["approach", "scale", "mae_include", "mae_exclude",
                   "question", "weight_delta"]
         rows = []
-        for d in comparison.deltas:
-            for qid, delta in d.weight_deltas:
-                rows.append([d.approach, d.scale, f"{d.mae_include:.4f}",
-                             f"{d.mae_exclude:.4f}", qid, repr(delta)])
+        for scale in scales:
+            for approach in experiment.APPROACHES:
+                maes = [f"{report.get(approach, scale, e).mae:.4f}"
+                        for e in (gb.INCLUDE_EXAM, gb.EXCLUDE_EXAM)]
+                for qid, delta in analysis.weight_deltas(report, approach, scale):
+                    rows.append([approach, scale, *maes, qid, repr(delta)])
         dataio.write_csv(header, rows, args.out)
         return EXIT_OK
-    report = experiment.evaluate(book, args.exam, cfg, _scales(args.scale))
-    _warn_unconverged(report, args.strict)
+    report = _evaluate(args, scales)
     if args.out:
         dataio.write_report(report, args.out, args.format)
     else:
@@ -204,29 +207,24 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    book = _load(args)
-    cfg = _config(args)
+    if args.extremes is not None:
+        solver = SOLVER_ALIASES[args.solver]
+        report = _evaluate(args, (args.scale,), approaches=(solver,))
+        top, bottom = analysis.extreme_questions(report, solver, args.extremes, args.scale)
+        rows = [["top", i + 1, q, repr(w)] for i, (q, w) in enumerate(top)]
+        rows += [["bottom", i + 1, q, repr(w)] for i, (q, w) in enumerate(bottom)]
+        dataio.write_csv(["position", "rank", "question", "weight"], rows, args.out)
+        return EXIT_OK
+    book, _ = _load(args)  # the solver options are checked here too
     if args.question:
         abil = gb.ability(book, args.exam, args.scale, gb.INCLUDE_EXAM)
         diag = analysis.distribution_table(book, args.exam, args.question, abil)
         rows = [[s, repr(score), f"{a:.2f}"] for s, score, a in diag.distribution]
         dataio.write_csv(["student", "score", "ability"], rows, args.out)
         return EXIT_OK
-    if args.degenerate:
-        diags = analysis.degenerate_questions(book, args.exam)
-        rows = [[d.question, ";".join(d.flags)] for d in diags]
-        dataio.write_csv(["question", "flags"], rows, args.out)
-        return EXIT_OK
-    solver = SOLVER_ALIASES[args.solver]
-    report = experiment.evaluate(
-        book, args.exam, cfg, (args.scale,), (gb.INCLUDE_EXAM,),
-        approaches=(solver,),
-    )
-    _warn_unconverged(report, args.strict)
-    top, bottom = analysis.extreme_questions(report, solver, args.extremes, args.scale)
-    rows = [["top", i + 1, q, repr(w)] for i, (q, w) in enumerate(top)]
-    rows += [["bottom", i + 1, q, repr(w)] for i, (q, w) in enumerate(bottom)]
-    dataio.write_csv(["position", "rank", "question", "weight"], rows, args.out)
+    diags = analysis.degenerate_questions(book, args.exam)
+    rows = [[d.question, ";".join(d.flags)] for d in diags]
+    dataio.write_csv(["question", "flags"], rows, args.out)
     return EXIT_OK
 
 

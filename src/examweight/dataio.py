@@ -358,14 +358,21 @@ def write_report(report: EvaluationReport, path: Path | str, format: str = "csv"
     """Serialize an evaluation report.
 
     csv: the MAE table goes to ``path`` and the long-format weights to a
-    sibling ``<stem>_weights.csv``.  json: one file mirroring both tables.
-    Returns the written paths.
+    sibling ``<stem>_weights.csv``, so ``path`` must not be an existing file
+    that is not regular, such as a device or a pipe (DataError, before
+    anything is written).  json: one file mirroring both tables, which may
+    be a device or a pipe.  Returns the written paths.
     """
     path = Path(path)
     header, rows = mae_table(report)
     wrows = weight_rows(report)
     if format == "csv":
         wpath = path.with_name(path.stem + "_weights.csv")
+        if path.exists() and not path.is_file():
+            raise DataError(
+                f"{path}: not a regular file; a CSV report is two files, the MAE table "
+                f"and {wpath.name} beside it: use a file path or --format json"
+            )
         # both files or neither
         _write_files({
             path: _csv_writer(header, rows), wpath: _csv_writer(WEIGHT_HEADER, wrows),

@@ -1,6 +1,5 @@
 """Evaluation protocol: leave-one-out cross-validation with weight averaging,
-MAE scoring of every approach on both target scales, and the include/exclude
-comparison for the overall score.
+and MAE scoring of every approach on each (scale, exclusion) target.
 
 MAE is computed in-sample on all students using the LOOCV-averaged weights;
 the uniform/actual baselines bypass LOOCV since their weights are constant.
@@ -161,52 +160,3 @@ def evaluate(
         records=tuple(rec for column in records for rec in column),
     )
 
-
-@dataclass(frozen=True)
-class ExclusionDelta:
-    """Per-approach weight movement between include- and exclude-exam targets."""
-
-    approach: str
-    scale: str
-    mae_include: float
-    mae_exclude: float
-    # (question id, weight_include - weight_exclude), sorted by |delta| descending
-    weight_deltas: tuple[tuple[str, float], ...]
-
-
-@dataclass(frozen=True)
-class ExclusionComparison:
-    # both exclusions' records, the include-exam ones first
-    report: EvaluationReport
-    deltas: tuple[ExclusionDelta, ...]
-
-
-def exclusion_comparison(
-    g: gb.Gradebook,
-    exam: str,
-    cfg: SolverConfig = solvers.DEFAULT_CONFIG,
-    scales: tuple[str, ...] = (gb.ACTUAL_SCALE, gb.NORMALIZED_SCALE),
-) -> ExclusionComparison:
-    """Side-by-side MAE and per-question weight deltas for the two overall
-    score computations (exam component included vs excluded)."""
-    report = evaluate(g, exam, cfg, scales, (gb.INCLUDE_EXAM, gb.EXCLUDE_EXAM))
-    deltas = []
-    for scale in scales:
-        for approach in APPROACHES:
-            ri = report.get(approach, scale, gb.INCLUDE_EXAM)
-            re = report.get(approach, scale, gb.EXCLUDE_EXAM)
-            dw = ri.averaged_weights.question_weights - re.averaged_weights.question_weights
-            pairs = sorted(
-                zip(report.question_ids, dw),
-                key=lambda p: (-abs(p[1]), p[0]),
-            )
-            deltas.append(
-                ExclusionDelta(
-                    approach=approach,
-                    scale=scale,
-                    mae_include=ri.mae,
-                    mae_exclude=re.mae,
-                    weight_deltas=tuple((q, float(d)) for q, d in pairs),
-                )
-            )
-    return ExclusionComparison(report=report, deltas=tuple(deltas))

@@ -637,9 +637,10 @@ def leave_one_out_fits(
     """Every leave-one-out fold fit of FITTERS[solver], [column][fold]: fold
     k of a column is trained on all rows of s and of that column but k.
 
-    targets is an n-by-k matrix, n >= 2, with one target per column, and s
-    must be a finite n-row design.  The entry is looked up when the run starts, and
-    its signature sets the run (the comment above FITTERS):
+    targets is a finite n-by-k matrix, n >= 2, with one target per column,
+    and s must be a finite n-row design; both are checked before any fit.
+    The entry is looked up when the run starts, and its signature sets the
+    run (the comment above FITTERS):
 
     * An entry that takes leave_one_out is first called once with every
       column.  For ols_closed_form and linear_intercept that gives every
@@ -671,6 +672,8 @@ def leave_one_out_fits(
         raise ValueError(f"targets must be an n-by-k matrix, got shape {targets.shape}")
     if len(targets) < 2:
         raise ValueError("leave-one-out needs at least 2 students")
+    if not np.isfinite(targets).all():
+        raise ValueError("target entries must be finite")
     if solver not in FITTERS:
         raise ValueError(f"unknown solver {solver!r}; registered: {', '.join(FITTERS)}")
     s, targets = _check_design(s, targets, np.asarray)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -256,6 +257,45 @@ class TestExitCodes:
         assert err.startswith(f"error: {out.with_name('r_weights.csv')}: ")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert [p.name for p in (tmp_path / "pw").iterdir()] == ["r_weights.csv"]
+
+    @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="no /dev/fd")
+    def test_csv_report_to_a_pipe_is_1_and_writes_nothing(self, files, capsys):
+        # as --out /dev/stdout is when stdout is a pipe: the weights table
+        # has no sibling to go to, so neither table is written
+        r, w = os.pipe()
+        with os.fdopen(r, "rb") as reader:
+            try:
+                code, out, err = run_cli(
+                    ["evaluate", *gradebook_args(files), "--out", f"/dev/fd/{w}"], capsys
+                )
+            finally:
+                os.close(w)
+            assert reader.read() == b""
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: /dev/fd/{w}: not a regular file; a CSV report is two files")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    SOLVER_COMMANDS = {
+        "fit": ["fit"],
+        "evaluate": ["evaluate"],
+        "compare-exclusion": ["evaluate", "--compare-exclusion"],
+        "extremes": ["analyze", "--extremes", "3"],
+        "question": ["analyze", "--question", "MC1"],
+        "degenerate": ["analyze", "--degenerate"],
+    }
+
+    @pytest.mark.parametrize("argv", list(SOLVER_COMMANDS.values()), ids=list(SOLVER_COMMANDS))
+    def test_a_bad_input_file_is_reported_before_a_bad_alpha(self, files, capsys, argv):
+        Path(files["--components"]).write_text("garbage\n", encoding="utf-8")
+        code, out, err = run_cli([*argv, *gradebook_args(files), "--alpha", "nan"], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {files['--components']}: ")
+
+    @pytest.mark.parametrize("argv", list(SOLVER_COMMANDS.values()), ids=list(SOLVER_COMMANDS))
+    def test_a_bad_alpha_is_1_in_every_command_that_reads_a_gradebook(self, files, capsys, argv):
+        code, out, err = run_cli([*argv, *gradebook_args(files), "--alpha", "nan"], capsys)
+        assert code == 1 and out == ""
+        assert err == "error: huber_regularization must be finite and nonnegative\n"
 
     def test_unwritable_out_dir_is_1(self, tmp_path, capsys):
         (tmp_path / "file").write_text("", encoding="utf-8")

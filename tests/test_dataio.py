@@ -535,6 +535,24 @@ class TestWriters:
                 os.close(w)
             assert reader.read() == self.GOLDEN
 
+    @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="no /dev/fd")
+    def test_csv_report_to_a_pipe_is_refused_before_writing(self, cohort):
+        # the weights table would go to a sibling of the pipe's name, so the
+        # pair cannot be written both or neither
+        r, w = os.pipe()
+        path = Path(f"/dev/fd/{w}")
+        with os.fdopen(r, "rb") as reader:
+            try:
+                with pytest.raises(DataError) as err:
+                    dataio.write_report(experiment.evaluate(cohort, "final"), path)
+            finally:
+                os.close(w)
+            assert reader.read() == b""
+        assert str(err.value) == (
+            f"{path}: not a regular file; a CSV report is two files, the MAE table "
+            f"and {w}_weights.csv beside it: use a file path or --format json"
+        )
+
     def test_csv_report_pair_is_written_together(self, cohort, tmp_path):
         (tmp_path / "r_weights.csv").mkdir()
         with pytest.raises(DataError, match="^" + re.escape(f"{tmp_path / 'r_weights.csv'}: ")):

@@ -1,11 +1,13 @@
+import dataclasses
 import functools
+import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from examweight import experiment, gradebook as gb, linalg, solvers, synthetic
+from examweight import analysis, experiment, gradebook as gb, linalg, solvers, synthetic
 from examweight.errors import ConvergenceError
 
 
@@ -89,6 +91,22 @@ class TestLoocvFit:
         with pytest.raises(ValueError, match="^expected a 2-D matrix, got ndim=1$"):
             experiment.loocv_fit(s[0], np.ones((6, 1)), solver)
         assert calls == []
+
+    @pytest.mark.parametrize("solver", list(solvers.FITTERS))
+    @pytest.mark.parametrize("shape", [(6, 3), (6, 8)], ids=["tall", "wide"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_the_targets_are_checked_before_any_fit(self, monkeypatch, solver, shape, bad):
+        # the bad entry is in the second column, so no column is fit first
+        fitted = [recording_entry(monkeypatch, name) for name in solvers.FITTERS]
+        monkeypatch.setattr(linalg, "svd", lambda *args, **kwargs: pytest.fail("an SVD ran"))
+        s = np.random.default_rng(0).random(shape)
+        targets = np.ones((6, 2))
+        targets[3, 1] = bad
+        with pytest.raises(ValueError, match="^target entries must be finite$"):
+            solvers.leave_one_out_fits(solver, s, targets)
+        with pytest.raises(ValueError, match="^target entries must be finite$"):
+            experiment.loocv_fit(s, targets, solver)
+        assert fitted == [[]] * len(solvers.FITTERS)
 
     def test_unknown_solver_names_the_registered_ones(self):
         registered = ", ".join(solvers.FITTERS)
@@ -867,27 +885,36 @@ class TestEvaluate:
 
 
 class TestExclusionComparison:
+    """The include/exclude comparison: one evaluate report holding both
+    exclusions, read by analysis.weight_deltas."""
+
+    @staticmethod
+    def compare(g):
+        return experiment.evaluate(
+            g, "final", scales=(gb.ACTUAL_SCALE,),
+            exclusions=(gb.INCLUDE_EXAM, gb.EXCLUDE_EXAM),
+        )
+
     def test_degenerate_when_exam_equals_other_components(self):
         # all four components identical: include vs exclude gives the same
         # target, so every weight delta is exactly machine-level zero
-        g = tall_linear_book()
-        cmp = experiment.exclusion_comparison(
-            g, "final", scales=(gb.ACTUAL_SCALE,)
-        )
-        for delta in cmp.deltas:
-            assert delta.mae_include == pytest.approx(delta.mae_exclude, abs=1e-9)
-            for _, d in delta.weight_deltas:
+        report = self.compare(tall_linear_book())
+        for approach in experiment.APPROACHES:
+            include = report.get(approach, gb.ACTUAL_SCALE, gb.INCLUDE_EXAM)
+            exclude = report.get(approach, gb.ACTUAL_SCALE, gb.EXCLUDE_EXAM)
+            assert include.mae == pytest.approx(exclude.mae, abs=1e-9)
+            for _, d in analysis.weight_deltas(report, approach, gb.ACTUAL_SCALE):
                 assert abs(d) < 1e-9
 
     def test_one_report_holds_both_exclusions_include_first(self):
-        g = tall_linear_book()
-        cmp = experiment.exclusion_comparison(g, "final", scales=(gb.ACTUAL_SCALE,))
+        report = self.compare(tall_linear_book())
         n = len(experiment.APPROACHES)
-        assert [r.exclusion for r in cmp.report.records] == (
+        assert [r.exclusion for r in report.records] == (
             [gb.INCLUDE_EXAM] * n + [gb.EXCLUDE_EXAM] * n
         )
-        for delta in cmp.deltas:
-            assert delta.mae_include == cmp.report.get(delta.approach, delta.scale).mae
+        assert [r.approach for r in report.records] == list(experiment.APPROACHES) * 2
+        for rec in report.records[:n]:
+            assert rec.mae == report.get(rec.approach, rec.scale).mae
 
     def test_deltas_sorted_by_magnitude(self):
         g = tall_linear_book()
@@ -895,10 +922,43 @@ class TestExclusionComparison:
         g.components["homework"] = np.clip(
             g.components["homework"] + np.linspace(-5, 5, len(g.students)), 0, 100
         )
-        cmp = experiment.exclusion_comparison(g, "final", scales=(gb.ACTUAL_SCALE,))
-        for delta in cmp.deltas:
-            mags = [abs(d) for _, d in delta.weight_deltas]
+        report = self.compare(g)
+        for approach in experiment.APPROACHES:
+            include = report.get(approach, gb.ACTUAL_SCALE, gb.INCLUDE_EXAM)
+            exclude = report.get(approach, gb.ACTUAL_SCALE, gb.EXCLUDE_EXAM)
+            expected = dict(zip(
+                report.question_ids,
+                include.averaged_weights.question_weights
+                - exclude.averaged_weights.question_weights,
+            ))
+            deltas = analysis.weight_deltas(report, approach, gb.ACTUAL_SCALE)
+            mags = [abs(d) for _, d in deltas]
             assert mags == sorted(mags, reverse=True)
-            assert {q for q, _ in delta.weight_deltas} == set(
-                cmp.report.question_ids
-            )
+            # every question once, with its include-minus-exclude delta
+            assert len(deltas) == len(report.question_ids)
+            assert dict(deltas) == expected
+
+    def test_ties_break_by_question_id(self):
+        # the baselines' weights do not depend on the target, so every delta
+        # is 0 and the order is the question ids'
+        g = tall_linear_book(m=4)
+        g.questions["final"] = tuple(
+            dataclasses.replace(q, id=qid)
+            for q, qid in zip(g.questions["final"], ["Q3", "Q10", "Q1", "Q2"])
+        )
+        g.components["homework"] += np.linspace(-5, 5, len(g.students))
+        report = self.compare(g)
+        for approach in (solvers.UNIFORM, solvers.ACTUAL):
+            deltas = analysis.weight_deltas(report, approach, gb.ACTUAL_SCALE)
+            assert deltas == [("Q1", 0.0), ("Q10", 0.0), ("Q2", 0.0), ("Q3", 0.0)]
+
+    @pytest.mark.parametrize("exclusion, missing", [
+        (gb.INCLUDE_EXAM, gb.EXCLUDE_EXAM), (gb.EXCLUDE_EXAM, gb.INCLUDE_EXAM),
+    ])
+    def test_one_exclusion_is_not_enough(self, exclusion, missing):
+        report = experiment.evaluate(
+            tall_linear_book(), "final", scales=(gb.ACTUAL_SCALE,),
+            exclusions=(exclusion,), approaches=(solvers.NNLS,),
+        )
+        with pytest.raises(KeyError, match=re.escape(f"(nnls, actual, {missing})")):
+            analysis.weight_deltas(report, solvers.NNLS, gb.ACTUAL_SCALE)

@@ -224,6 +224,23 @@ class TestNnls:
         ):
             solvers.fit_nnls(s, a)
 
+    @pytest.mark.xfail(strict=True, reason="roadmap item 9: the NNLS stop test is absolute")
+    def test_an_ill_conditioned_fit_reaches_the_oracle_objective(self):
+        # the fold without row 2 of TestWarmNnls's ill-conditioned design:
+        # columns 0 and 1 differ by under 1e-6, and the fit stops at
+        # (0, 0.00346), whose gradient on column 0 is already within
+        # NNLS_TOLERANCE, 1.24e-9 (relative) above the optimum on column 0
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(10806)
+        s = rng.standard_normal((3, 2))
+        s[:, 1] = s[:, 0] + 1e-6 * rng.random(3)
+        a = s @ (10 * rng.random(2) * (rng.random(2) < 0.3)) + 0.01 * rng.standard_normal(3)
+        s, a = np.delete(s, 2, axis=0), np.delete(a, 2)
+        oracle, _ = optimize.nnls(s, a)
+        sol = solvers.fit_nnls(s, a)
+        f, f_oracle = (np.sum((s @ x - a) ** 2) for x in (sol.question_weights, oracle))
+        assert f <= f_oracle * (1 + 1e-10)
+
 
 class TestBaselines:
     def test_uniform(self):
