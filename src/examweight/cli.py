@@ -48,13 +48,24 @@ def _add_gradebook_args(p: _Parser) -> None:
     )
 
 
+class _SolverOption(argparse.Action):
+    """Store an option's value, or const for a flag, and note the option in
+    solver_options, so that a command that fits nothing can refuse it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, self.const if self.nargs == 0 else values)
+        namespace.solver_options = [*namespace.solver_options, option_string]
+
+
 def _add_solver_args(p: _Parser) -> None:
     defaults = solvers.DEFAULT_CONFIG
-    p.add_argument("--epsilon", type=float, default=defaults.huber_epsilon,
+    p.set_defaults(solver_options=[])
+    p.add_argument("--epsilon", type=float, default=defaults.huber_epsilon, action=_SolverOption,
                    help=f"Huber loss threshold (default {defaults.huber_epsilon})")
     p.add_argument("--alpha", type=float, default=defaults.huber_regularization,
+                   action=_SolverOption,
                    help=f"Huber ridge regularization (default {defaults.huber_regularization})")
-    p.add_argument("--strict", action="store_true",
+    p.add_argument("--strict", nargs=0, const=True, default=False, action=_SolverOption,
                    help="treat solver non-convergence as fatal (exit 2)")
 
 
@@ -93,7 +104,7 @@ def build_parser() -> _Parser:
     group.add_argument("--degenerate", action="store_true",
                        help="flag all-correct / all-zero / duplicate / top-only questions")
     an.add_argument("--solver", choices=list(SOLVER_ALIASES), default="linear",
-                    help="solver whose weights rank the extremes")
+                    action=_SolverOption, help="solver whose weights rank the extremes")
     an.add_argument("--scale", choices=["actual", "normalized"], default="actual")
     an.add_argument("--out", help="output CSV path (default: stdout)")
 
@@ -115,6 +126,9 @@ def _check_combinations(parser: _Parser, args) -> None:
     """Usage errors that argparse cannot express on its own."""
     if args.command == "analyze" and args.extremes is not None and args.extremes < 1:
         parser.error(f"argument --extremes: K must be at least 1, got {args.extremes}")
+    if args.command == "analyze" and args.extremes is None and args.solver_options:
+        parser.error(f"argument {args.solver_options[0]}: not allowed without --extremes, "
+                     "the one analysis that fits weights")
     if args.command != "evaluate" or args.format != "json":
         return
     if args.compare_exclusion:
@@ -124,17 +138,13 @@ def _check_combinations(parser: _Parser, args) -> None:
         parser.error("--format json needs --out; the table printed to stdout is CSV")
 
 
-def _load(args) -> tuple[gb.Gradebook, solvers.SolverConfig]:
-    """The gradebook and the solver options, checked in that order, so a bad
-    input file is reported before a bad --alpha or --epsilon."""
+def _load(args) -> gb.Gradebook:
     fileset = dataio.GradebookFileSet(
         scores={args.exam: Path(args.scores)},
         questions={args.exam: Path(args.questions)},
         components=Path(args.components),
     )
-    book = dataio.load_gradebook(fileset, check_consistency=not args.no_consistency_check)
-    cfg = solvers.SolverConfig(huber_epsilon=args.epsilon, huber_regularization=args.alpha)
-    return book, cfg
+    return dataio.load_gradebook(fileset, check_consistency=not args.no_consistency_check)
 
 
 def _scales(flag: str) -> tuple[str, ...]:
@@ -165,8 +175,11 @@ def _evaluate(
     args, scales, exclusions=(gb.INCLUDE_EXAM,), approaches=experiment.APPROACHES
 ) -> experiment.EvaluationReport:
     """experiment.evaluate on the loaded gradebook with the solver options,
-    warning of unconverged folds (raising under --strict)."""
-    book, cfg = _load(args)
+    warning of unconverged folds (raising under --strict).  The gradebook is
+    loaded before the options are checked, so a bad input file is reported
+    before a bad --alpha or --epsilon."""
+    book = _load(args)
+    cfg = solvers.SolverConfig(huber_epsilon=args.epsilon, huber_regularization=args.alpha)
     report = experiment.evaluate(book, args.exam, cfg, scales, exclusions, approaches)
     _warn_unconverged(report, args.strict)
     return report
@@ -179,7 +192,7 @@ def _cmd_fit(args) -> int:
         else (SOLVER_ALIASES[args.solver],)
     )
     report = _evaluate(args, _scales(args.scale), (exclusion,), approaches)
-    dataio.write_csv(dataio.WEIGHT_HEADER, dataio.weight_rows(report), args.out)
+    dataio.write_weights(report, args.out)
     return EXIT_OK
 
 
@@ -215,7 +228,7 @@ def _cmd_analyze(args) -> int:
         rows += [["bottom", i + 1, q, repr(w)] for i, (q, w) in enumerate(bottom)]
         dataio.write_csv(["position", "rank", "question", "weight"], rows, args.out)
         return EXIT_OK
-    book, _ = _load(args)  # the solver options are checked here too
+    book = _load(args)
     if args.question:
         abil = gb.ability(book, args.exam, args.scale, gb.INCLUDE_EXAM)
         diag = analysis.distribution_table(book, args.exam, args.question, abil)

@@ -10,12 +10,15 @@ and a header row:
 * components file: ``student,homework,midterm,project,final`` on a 0-100
   scale.
 
-Every CSV file or table examweight writes goes through ``write_csv`` (the
-csv module's default dialect: comma-separated, CRLF line ends), to a file or
-to stdout.  A file is written to a temporary sibling and moved into place
-only when complete, so a failed write leaves no partial file, and the two
-files of a CSV report are moved only once both are written.  A file that
-cannot be read, decoded as UTF-8 or written raises DataError naming it.
+Every CSV file or table examweight writes is in the csv module's default
+dialect (comma-separated, CRLF line ends), to a file or to stdout.  Tables go
+through ``write_csv``'s csv.writer, except the weights table, built as one
+text from cells that csv.writer quotes; TestWeightsText in
+tests/test_dataio.py holds that text to csv.writer's output.  A file is
+written to a temporary sibling and moved into place only when complete, so a
+failed write leaves no partial file, and the two files of a CSV report are
+moved only once both are written.  A file that cannot be read, decoded as
+UTF-8 or written raises DataError naming it.
 
 Report serialization: MAE tables use 4 decimal places, weight dumps keep full
 precision (repr round-trip), field ordering is deterministic.
@@ -25,13 +28,16 @@ from __future__ import annotations
 
 import csv
 import errno
+import functools
 import json
 import os
+import stat
 import sys
 from collections.abc import Callable
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import TextIO
 
 import numpy as np
@@ -82,12 +88,17 @@ def _write_files(writers: dict[Path, Callable[[TextIO], None]], newline: str | N
     naming the path.
     """
     staged: list[tuple[Path, Path, Path]] = []  # (path, temporary file, target)
+    moved = 0
     try:
         for path, write in writers.items():
             with _naming(path):
-                if path.is_dir():
+                try:
+                    kind = stat.S_IFMT(os.stat(path).st_mode)  # follows links, as open does
+                except (FileNotFoundError, NotADirectoryError):
+                    kind = stat.S_IFREG  # nothing there yet
+                if kind == stat.S_IFDIR:
                     raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-                if path.exists() and not path.is_file():
+                if kind != stat.S_IFREG:
                     stream, mode = path, "w"
                 else:
                     target = path.resolve()
@@ -98,8 +109,9 @@ def _write_files(writers: dict[Path, Callable[[TextIO], None]], newline: str | N
         for path, tmp, target in staged:
             with _naming(path):
                 os.replace(tmp, target)
+            moved += 1
     finally:
-        for _, tmp, _ in staged:
+        for _, tmp, _ in staged[moved:]:
             with suppress(OSError):
                 tmp.unlink(missing_ok=True)
 
@@ -121,13 +133,17 @@ def _csv_writer(header, rows) -> Callable[[TextIO], None]:
     return write
 
 
+def _write_out(write: Callable[[TextIO], None], path: Path | str | None) -> None:
+    if path is None:
+        write(sys.stdout)
+    else:
+        _write_files({Path(path): write}, newline="")
+
+
 def write_csv(header, rows, path: Path | str | None = None) -> None:
     """Write a header row and then rows as CSV to path, or to stdout when path
     is None."""
-    if path is None:
-        _csv_writer(header, rows)(sys.stdout)
-    else:
-        _write_files({Path(path): _csv_writer(header, rows)}, newline="")
+    _write_out(_csv_writer(header, rows), path)
 
 
 def _parse_float(cell: str, path: Path, row: int, col: str) -> float:
@@ -341,17 +357,49 @@ def mae_table(report: EvaluationReport) -> tuple[list[str], list[list[str]]]:
     return header, rows
 
 
+def _weight_strings(report: EvaluationReport):
+    """(approach, scale label, weights then intercept as repr strings) per
+    record, from one repr of the list: a list repr calls the same float
+    repr, and no float's repr holds ", "."""
+    for rec in report.records:
+        w = rec.averaged_weights
+        strings = repr([*w.question_weights.tolist(), float(w.intercept)])[1:-1].split(", ")
+        yield rec.approach, _scale_label(rec.scale, rec.exclusion), strings
+
+
 def weight_rows(report: EvaluationReport) -> list[list[str]]:
     """Plot-ready long format: exam, solver, scale, question, weight (full
     precision).  The intercept is emitted as pseudo-question '_intercept'."""
     qids = (*report.question_ids, "_intercept")
     return [
-        [report.exam, rec.approach, scale, qid, repr(w)]
-        for rec in report.records
-        for scale in [_scale_label(rec.scale, rec.exclusion)]
-        for qid, w in zip(qids, [*rec.averaged_weights.question_weights.tolist(),
-                                 float(rec.averaged_weights.intercept)])
+        [report.exam, approach, scale, qid, w]
+        for approach, scale, strings in _weight_strings(report)
+        for qid, w in zip(qids, strings)
     ]
+
+
+def _weights_text(report: EvaluationReport) -> str:
+    """WEIGHT_HEADER and weight_rows(report) as csv.writer writes them.
+
+    Each distinct exam, approach, scale label and question id is quoted
+    once, by csv.writer, and each row joins those ready cells."""
+    # writerow returns what its file's write returns: here, the row's text
+    row_text = csv.writer(SimpleNamespace(write=lambda line: line)).writerow
+    # a cell and its delimiter (a lone "" field would be quoted)
+    cell = functools.cache(lambda value: row_text([value, ""])[:-2])
+    exam, qids = cell(report.exam), [cell(q) for q in (*report.question_ids, "_intercept")]
+    lines = [row_text(WEIGHT_HEADER)]
+    for approach, scale, strings in _weight_strings(report):
+        prefix = exam + cell(approach) + cell(scale)
+        lines += [prefix + q + w + "\r\n" for q, w in zip(qids, strings)]
+    return "".join(lines)
+
+
+def write_weights(report: EvaluationReport, path: Path | str | None = None) -> None:
+    """Write the long-format weights table as CSV to path, or to stdout when
+    path is None, in one write."""
+    text = _weights_text(report)
+    _write_out(lambda fh: fh.write(text), path)
 
 
 def write_report(report: EvaluationReport, path: Path | str, format: str = "csv") -> list[Path]:
@@ -365,7 +413,6 @@ def write_report(report: EvaluationReport, path: Path | str, format: str = "csv"
     """
     path = Path(path)
     header, rows = mae_table(report)
-    wrows = weight_rows(report)
     if format == "csv":
         wpath = path.with_name(path.stem + "_weights.csv")
         if path.exists() and not path.is_file():
@@ -373,17 +420,18 @@ def write_report(report: EvaluationReport, path: Path | str, format: str = "csv"
                 f"{path}: not a regular file; a CSV report is two files, the MAE table "
                 f"and {wpath.name} beside it: use a file path or --format json"
             )
+        text = _weights_text(report)
         # both files or neither
         _write_files({
-            path: _csv_writer(header, rows), wpath: _csv_writer(WEIGHT_HEADER, wrows),
+            path: _csv_writer(header, rows), wpath: lambda fh: fh.write(text),
         }, newline="")
         return [path, wpath]
     if format == "json":
         text = json.dumps({
             "mae": [dict(zip(header, row)) for row in rows],
-            "weights": [dict(zip(WEIGHT_HEADER, row)) for row in wrows],
-        }, indent=2)
-        _write_files({path: lambda fh: fh.write(text + "\n")})
+            "weights": [dict(zip(WEIGHT_HEADER, row)) for row in weight_rows(report)],
+        }, indent=2) + "\n"
+        _write_files({path: lambda fh: fh.write(text)})
         return [path]
     raise ValueError(f"unknown format {format!r}")
 

@@ -150,6 +150,57 @@ class TestFit:
         assert {r[1] for r in rows[1:]} == {"ols_closed_form"}
 
 
+# ids that csv quotes (a comma and a quote), that are not ASCII, or that
+# have spaces at both ends, which csv keeps as they are
+QUOTED_IDS = {"MC1": 'M,C"1', "MC2": "é q", "TF1": " TF1 "}
+
+
+@pytest.fixture
+def quoted_files(files):
+    """The seed-7 files with QUOTED_IDS renamed in the questions file and in
+    the scores header."""
+    for flag in ("--questions", "--scores"):
+        path = Path(files[flag])
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        if flag == "--scores":
+            rows[0] = [QUOTED_IDS.get(c, c) for c in rows[0]]
+        else:
+            for row in rows[1:]:
+                row[0] = QUOTED_IDS.get(row[0], row[0])
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+    return files
+
+
+class TestQuotedIds:
+    def test_weights_read_back_and_match_fit(self, quoted_files, tmp_path, capsys):
+        book = gradebook_args(quoted_files)
+        code, _, err = run_cli(["evaluate", *book, "--out", str(tmp_path / "r.csv")], capsys)
+        assert (code, err) == (0, "")
+        with open(tmp_path / "r_weights.csv", newline="", encoding="utf-8") as fh:
+            report = list(csv.reader(fh))
+        code, out, err = run_cli(["fit", *book, "--scale", "both"], capsys)
+        assert (code, err) == (0, "")
+        fitted = list(csv.reader(io.StringIO(out, newline="")))
+        assert report[0] == fitted[0] == ["exam", "solver", "scale", "question", "weight"]
+
+        with open(quoted_files["--questions"], newline="", encoding="utf-8") as fh:
+            qids = [row[0] for row in list(csv.reader(fh))[1:]] + ["_intercept"]
+        assert set(QUOTED_IDS.values()) <= set(qids)
+
+        def blocks(rows):  # (solver, scale) -> its rows, in order
+            cells = {}
+            for row in rows[1:]:
+                cells.setdefault((row[1], row[2]), []).append(row)
+            return cells
+
+        report_blocks, fit_blocks = blocks(report), blocks(fitted)
+        assert {solver for solver, _ in fit_blocks} == set(cli.SOLVER_ALIASES.values())
+        assert all([row[3] for row in rows] == qids for rows in report_blocks.values())
+        assert {k: report_blocks[k] for k in fit_blocks} == fit_blocks
+
+
 class TestAnalyze:
     def test_question_distribution(self, files, capsys):
         code, out, _ = run_cli(
@@ -275,13 +326,13 @@ class TestExitCodes:
         assert err.startswith(f"error: /dev/fd/{w}: not a regular file; a CSV report is two files")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    # the commands that fit weights; analyze --question and --degenerate
+    # refuse the solver options (test_a_solver_option_without_extremes_is_64)
     SOLVER_COMMANDS = {
         "fit": ["fit"],
         "evaluate": ["evaluate"],
         "compare-exclusion": ["evaluate", "--compare-exclusion"],
         "extremes": ["analyze", "--extremes", "3"],
-        "question": ["analyze", "--question", "MC1"],
-        "degenerate": ["analyze", "--degenerate"],
     }
 
     @pytest.mark.parametrize("argv", list(SOLVER_COMMANDS.values()), ids=list(SOLVER_COMMANDS))
@@ -296,6 +347,25 @@ class TestExitCodes:
         code, out, err = run_cli([*argv, *gradebook_args(files), "--alpha", "nan"], capsys)
         assert code == 1 and out == ""
         assert err == "error: huber_regularization must be finite and nonnegative\n"
+
+    @pytest.mark.parametrize("analysis, option", [
+        (["--question", "MC1"], ["--alpha", "nan"]),
+        (["--question", "MC1"], ["--epsilon", "1.8"]),
+        (["--question", "MC1"], ["--solver", "ols"]),
+        (["--degenerate"], ["--alpha", "0.1"]),
+        (["--degenerate"], ["--strict"]),
+    ], ids=["question-alpha", "question-epsilon", "question-solver",
+            "degenerate-alpha", "degenerate-strict"])
+    def test_a_solver_option_without_extremes_is_64(self, tmp_path, capsys, analysis, option):
+        # only --extremes fits; refused before any file is read, even one
+        # that is not there, and whatever the option's value
+        book = {flag: str(tmp_path / name) for flag, name in
+                [("--scores", "s.csv"), ("--questions", "q.csv"), ("--components", "c.csv")]}
+        code, out, err = run_cli(["analyze", *analysis, *gradebook_args(book), *option], capsys)
+        assert code == 64 and out == ""
+        assert err.splitlines()[-1] == (
+            f"examweight: error: argument {option[0]}: not allowed without --extremes, "
+            "the one analysis that fits weights")
 
     def test_unwritable_out_dir_is_1(self, tmp_path, capsys):
         (tmp_path / "file").write_text("", encoding="utf-8")

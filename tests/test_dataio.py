@@ -1,8 +1,12 @@
+import contextlib
 import csv
+import errno
+import io
 import json
 import os
 import re
 import stat
+import tempfile
 import threading
 from pathlib import Path
 
@@ -448,6 +452,78 @@ class TestReportSerialization:
         assert {r[2] for r in wrows} == {"actual_excl"}
 
 
+# cells csv quotes (delimiter, quote, CR, LF, CRLF), spaces it keeps, and
+# text that is not ASCII
+TRICKY_TEXT = ["a,b", 'q"1', '"', "x\ry", "x\ny", "x\r\ny", "\r\n", " lead", "trail ",
+               " both ", "é q", "試験", ""]
+SPECIAL_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 1e300, -1e300]
+texts = st.one_of(st.sampled_from(TRICKY_TEXT),
+                  st.text(st.characters(blacklist_categories=("Cs",)), max_size=6))
+weights = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+
+
+@st.composite
+def weight_reports(draw):
+    """A directly built EvaluationReport: tricky exam and question ids and
+    approach names, any float weights and intercepts, and a record for each
+    approach on each of 0 to 4 targets, as evaluate makes them."""
+    qids = draw(st.lists(texts, max_size=5, unique=True))
+    approaches = draw(st.lists(texts, min_size=1, max_size=3, unique=True))
+    targets = draw(st.lists(st.sampled_from(
+        [(sc, ex) for sc in (gb.ACTUAL_SCALE, gb.NORMALIZED_SCALE)
+         for ex in (gb.INCLUDE_EXAM, gb.EXCLUDE_EXAM)]), max_size=4, unique=True))
+    records = []
+    for scale, exclusion in targets:
+        for approach in approaches:
+            sol = solvers.WeightSolution(
+                question_weights=np.array(draw(st.lists(weights, min_size=len(qids),
+                                                        max_size=len(qids))), dtype=float),
+                intercept=draw(st.one_of(weights, weights.map(np.float64))),
+            )
+            records.append(experiment.ApproachRecord(
+                approach=approach, scale=scale, exclusion=exclusion, fold_weights=(sol,),
+                averaged_weights=sol, predictions=np.zeros(1), target=np.zeros(1), mae=0.0,
+            ))
+    return experiment.EvaluationReport(exam=draw(texts), question_ids=tuple(qids),
+                                       records=tuple(records))
+
+
+class TestWeightsText:
+    """The weights table is written as one text; it must be what csv.writer
+    writes for WEIGHT_HEADER and weight_rows."""
+
+    @staticmethod
+    def csv_text(report):
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(dataio.WEIGHT_HEADER)
+        writer.writerows(dataio.weight_rows(report))
+        return buf.getvalue()
+
+    @settings(max_examples=100, deadline=None)
+    @given(report=weight_reports())
+    def test_every_writer_matches_csv_writer(self, report):
+        expected = self.csv_text(report)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            dataio.write_weights(report)
+        assert out.getvalue() == expected
+        with tempfile.TemporaryDirectory() as tmp:
+            dataio.write_weights(report, Path(tmp) / "w.csv")
+            assert (Path(tmp) / "w.csv").read_bytes() == expected.encode("utf-8")
+            dataio.write_report(report, Path(tmp) / "r.csv")
+            assert (Path(tmp) / "r_weights.csv").read_bytes() == expected.encode("utf-8")
+
+    def test_weights_keep_full_precision(self):
+        sol = solvers.WeightSolution(question_weights=np.array(SPECIAL_FLOATS),
+                                     intercept=np.float64(0.1))
+        rec = experiment.ApproachRecord(
+            approach="a", scale=gb.ACTUAL_SCALE, exclusion=gb.INCLUDE_EXAM, fold_weights=(sol,),
+            averaged_weights=sol, predictions=np.zeros(1), target=np.zeros(1), mae=0.0)
+        report = experiment.EvaluationReport("e", tuple(f"Q{j}" for j in range(8)), (rec,))
+        assert [row[4] for row in dataio.weight_rows(report)] == [
+            "nan", "inf", "-inf", "-0.0", "0.0", "5e-324", "1e+300", "-1e+300", "0.1"]
+
+
 class TestWriters:
     HEADER = ["student", "score"]
     ROWS = [["al", repr(0.1)], ["bo, jr", 1 / 3]]
@@ -552,6 +628,33 @@ class TestWriters:
             f"{path}: not a regular file; a CSV report is two files, the MAE table "
             f"and {w}_weights.csv beside it: use a file path or --format json"
         )
+
+    def test_a_written_file_is_not_unlinked(self, cohort, tmp_path, monkeypatch):
+        unlinked = []
+        monkeypatch.setattr(Path, "unlink", lambda p, missing_ok=False: unlinked.append(p))
+        dataio.write_report(uniform_report(cohort), tmp_path / "r.csv")
+        dataio.write_gradebook_files(cohort, tmp_path / "book")
+        assert unlinked == []
+
+    def test_a_failed_move_removes_only_the_files_not_moved(self, cohort, tmp_path, monkeypatch):
+        replace = os.replace
+
+        def replace_once(src, dst):  # the second move fails
+            if list(tmp_path.glob("*.csv")):
+                raise OSError(errno.EXDEV, os.strerror(errno.EXDEV))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_once)
+        with pytest.raises(DataError, match="^" + re.escape(f"{tmp_path / 'r_weights.csv'}: ")):
+            dataio.write_report(uniform_report(cohort), tmp_path / "r.csv")
+        assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
+
+    def test_a_symlink_loop_is_named(self, tmp_path):
+        (tmp_path / "a").symlink_to(tmp_path / "b")
+        (tmp_path / "b").symlink_to(tmp_path / "a")
+        with pytest.raises(DataError, match="^" + re.escape(f"{tmp_path / 'a'}: ")):
+            dataio.write_csv(self.HEADER, self.ROWS, tmp_path / "a")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b"]
 
     def test_csv_report_pair_is_written_together(self, cohort, tmp_path):
         (tmp_path / "r_weights.csv").mkdir()
