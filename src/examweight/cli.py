@@ -105,7 +105,7 @@ def build_parser() -> _Parser:
                        help="flag all-correct / all-zero / duplicate / top-only questions")
     an.add_argument("--solver", choices=list(SOLVER_ALIASES), default="linear",
                     action=_SolverOption, help="solver whose weights rank the extremes")
-    an.add_argument("--scale", choices=["actual", "normalized"], default="actual")
+    an.add_argument("--scale", choices=["actual", "normalized"])
     an.add_argument("--out", help="output CSV path (default: stdout)")
 
     gen = sub.add_parser("generate", help="write a synthetic gradebook file set")
@@ -129,6 +129,8 @@ def _check_combinations(parser: _Parser, args) -> None:
     if args.command == "analyze" and args.extremes is None and args.solver_options:
         parser.error(f"argument {args.solver_options[0]}: not allowed without --extremes, "
                      "the one analysis that fits weights")
+    if args.command == "analyze" and args.degenerate and args.scale:
+        parser.error("argument --scale: not allowed with --degenerate, which reads no target")
     if args.command != "evaluate" or args.format != "json":
         return
     if args.compare_exclusion:
@@ -220,17 +222,18 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    scale = args.scale or "actual"
     if args.extremes is not None:
         solver = SOLVER_ALIASES[args.solver]
-        report = _evaluate(args, (args.scale,), approaches=(solver,))
-        top, bottom = analysis.extreme_questions(report, solver, args.extremes, args.scale)
+        report = _evaluate(args, (scale,), approaches=(solver,))
+        top, bottom = analysis.extreme_questions(report, solver, args.extremes, scale)
         rows = [["top", i + 1, q, repr(w)] for i, (q, w) in enumerate(top)]
         rows += [["bottom", i + 1, q, repr(w)] for i, (q, w) in enumerate(bottom)]
         dataio.write_csv(["position", "rank", "question", "weight"], rows, args.out)
         return EXIT_OK
     book = _load(args)
     if args.question:
-        abil = gb.ability(book, args.exam, args.scale, gb.INCLUDE_EXAM)
+        abil = gb.ability(book, args.exam, scale, gb.INCLUDE_EXAM)
         diag = analysis.distribution_table(book, args.exam, args.question, abil)
         rows = [[s, repr(score), f"{a:.2f}"] for s, score, a in diag.distribution]
         dataio.write_csv(["student", "score", "ability"], rows, args.out)

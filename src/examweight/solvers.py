@@ -298,14 +298,12 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
     is unchanged), keeping the iteration scale-equivariant; the convergence
     test is on the normalized objective's gradient norm.
 
-    With a ridge (alpha > 0) every stationary w lies in the row space of
-    S's nonzero columns (the representer theorem; Kimeldorf & Wahba 1971).
-    When that space is smaller than the number of those columns, as on a
-    wide design, the fit factors S_used^T = Q R with Q orthonormal, and runs
-    the same iteration on the n-by-n design R^T in coordinates y, w_used =
-    Q y.  The objective is the same (S w = R^T y and ||w|| = ||y||), and so
-    are the gradient norm and the stop rules.  A question no student scored
-    on gets weight exactly 0.  At alpha = 0 the fit runs on S itself.
+    On a wide design with a ridge (alpha > 0, fewer students than answered
+    questions) the fit first tries the ridge fit that f is with sigma on its
+    floor and every row quadratic (Hoerl & Kennard 1970): w = S_c^T (S_c
+    S_c^T + floor * alpha I)^-1 (a - mean a), S_c the column-centered design,
+    kept if it passes the stop test.  A question no student scored on gets
+    weight exactly 0.
 
     sigma >= floor * max|a| is a plain bound on log sigma, handled as in a
     projected Newton method (Bertsekas, "Projected Newton methods for
@@ -324,12 +322,12 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
       current (w, c), sigma moves exactly onto the floor and mu resets to 0.
     * The floor probe (_floor_probe): the floor test sees only the current
       (w, c), and the bounded steps below carry a falling sigma down by at
-      most a factor of e per step.  So on the row-space route, when sigma is
-      falling and the test fails after at least one accepted step, the fit
-      tries one Newton solve of the floor's (w, c) model in the current
-      regime, landing on the floor, and keeps it if f falls strictly and the
-      floor test holds there for that regime; mu then resets to 0.  A
-      refused probe is not retried until the regime changes.  Each probe
+      most a factor of e per step.  So on a wide design with a ridge, when
+      sigma is falling and the test fails after at least one accepted step,
+      the fit tries one Newton solve of the floor's (w, c) model in the
+      current regime, landing on the floor, and keeps it if f falls strictly
+      and the floor test holds there for that regime; mu then resets to 0.
+      A refused probe is not retried until the regime changes.  Each probe
       counts as a Newton solve and an evaluation, toward
       huber_max_iterations too.  For alpha > 0 the objective is jointly
       convex in (w, c, sigma), as a perspective function (Owen, "A robust
@@ -341,15 +339,15 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
     |d_sigma| > 1 is scaled by 1/|d_sigma|, so sigma changes by at most a
     factor of e per step instead of the line search halving an overshoot
     from far outside.  The (w, c) diagonal is damped by max(mu, 1e-10 * max
-    diag of the system solved) (in y on the row-space route), on the floor
-    and off it, and log sigma's by mu alone: at alpha = 0 on a wide design
-    the w block is singular, and once mu has decayed to 0 an undamped solve
-    of it fails or returns a useless step along its null space.  Held on
-    the floor, where the model is exact, the step is solved twice, the
-    second time with the first step as the damping's center (iterated
-    Tikhonov): that removes the damping's bias along every direction the
-    block does not nearly annihilate, so the step lands on the minimizer as
-    an undamped one would, and it at most doubles along a null space.
+    diag of the system solved), on the floor and off it, and log sigma's by
+    mu alone: at alpha = 0 on a wide design the w block is singular, and
+    once mu has decayed to 0 an undamped solve of it fails or returns a
+    useless step along its null space.  Held on the floor, where the model
+    is exact, the step is solved twice, the second time with the first step
+    as the damping's center (iterated Tikhonov): that removes the damping's
+    bias along every direction the block does not nearly annihilate, so the
+    step lands on the minimizer as an undamped one would, and it at most
+    doubles along a null space.
 
     A step is accepted on an Armijo strict decrease along the projected
     step, or when the objective stays within its rounding error and the
@@ -365,8 +363,8 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
 
     Neither of the last two is fatal: the last accepted iterate, the best up
     to rounding, is returned with converged=False and its gradient norm.
-    evaluations counts every objective evaluation: line-search trials, moves
-    onto the floor and floor probes.
+    evaluations counts every objective evaluation: the starts tried,
+    line-search trials, moves onto the floor and floor probes.
     """
     s, a = _check_design(s, a)
     n, m = s.shape
@@ -376,29 +374,26 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
     # fit stops there with w = 0 and c = 0
     scale = float(np.max(np.abs(a))) or 1.0
     at = a / scale
-    # On the normalized problem the original objective becomes
-    # scale * (huber part + alpha*scale*||w_t||^2), so alpha picks up a factor.
     alpha = cfg.huber_regularization * scale
 
-    # With a ridge the minimizer's w lies in the row space of S's nonzero
-    # columns; on a wide design the fit runs in coordinates y of that space.
-    used = s.any(axis=0)
-    basis = None
-    if alpha > 0 and n < used.sum():
-        basis, r = np.linalg.qr(s[:, used].T)
-        s = r.T
-    full_m, m = m, s.shape[1]
-
-    theta = np.zeros(m + 2)
-    theta[m] = at.mean()
-    theta[m + 1] = np.log(_SIGMA_FLOOR + max(np.std(at - theta[m]), 1e-3))
-
-    f, g, point = _huber_objective_and_grad(theta, s, at, eps, alpha)
-    evaluations = 1
-    gnorm = math.sqrt(g @ g)
+    starts = []
+    wide = alpha > 0 and n < np.count_nonzero(s.any(axis=0))
+    if wide:  # the ridge fit on the floor, every row quadratic
+        centered = s - s.mean(axis=0)
+        kernel = centered @ centered.T + _SIGMA_FLOOR * alpha * np.eye(n)
+        with contextlib.suppress(np.linalg.LinAlgError):
+            w = centered.T @ np.linalg.solve(kernel, at - at.mean())
+            starts.append(np.concatenate([w, [at.mean() - s.mean(axis=0) @ w, _LOG_FLOOR]]))
+    cold = np.zeros(m + 2)
+    cold[m:] = at.mean(), np.log(_SIGMA_FLOOR + max(np.std(at - at.mean()), 1e-3))
+    # the ridge fit is kept only if it passes the stop test
+    for evaluations, theta in enumerate((*starts, cold), start=1):
+        f, g, point = _huber_objective_and_grad(theta, s, at, eps, alpha)
+        gnorm = math.sqrt(g @ g)
+        if gnorm < HUBER_TOLERANCE:
+            break
     mu = 0.0
     it = 0
-    stepped = False
     refused = None  # the regime of the last refused floor probe
     abs_s = np.abs(s)
     while True:
@@ -412,7 +407,7 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
                 gnorm = math.sqrt(g @ g)
                 mu = 0.0
             else:  # the floor may still hold a minimizer for another (w, c)
-                probe = basis is not None and stepped and not np.array_equal(quad, refused)
+                probe = wide and it > 0 and not np.array_equal(quad, refused)
         if gnorm < HUBER_TOLERANCE:
             stop_reason = STOP_GRADIENT
             break
@@ -466,14 +461,9 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
             break
         mu = mu / 4.0 if t == 1.0 else max(4.0 * mu, mu_floor)
         theta, f, g, gnorm, point = cand, f_cand, g_cand, g_cand_norm, point_cand
-        stepped = True
 
-    w = theta[:m]
-    if basis is not None:
-        w = np.zeros(full_m)
-        w[used] = basis @ theta[:m]
     return WeightSolution(
-        question_weights=w * scale,
+        question_weights=theta[:m] * scale,
         intercept=float(theta[m] * scale),
         iterations=it,
         evaluations=evaluations,

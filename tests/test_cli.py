@@ -367,6 +367,28 @@ class TestExitCodes:
             f"examweight: error: argument {option[0]}: not allowed without --extremes, "
             "the one analysis that fits weights")
 
+    def test_scale_with_degenerate_is_64(self, tmp_path, capsys):
+        # the degeneracy flags read no target, so a scale would be ignored;
+        # refused before any file is read, even one that is not there
+        book = {flag: str(tmp_path / name) for flag, name in
+                [("--scores", "s.csv"), ("--questions", "q.csv"), ("--components", "c.csv")]}
+        argv = ["analyze", "--degenerate", *gradebook_args(book), "--scale", "actual"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 64 and out == ""
+        assert err.splitlines()[-1] == (
+            "examweight: error: argument --scale: not allowed with --degenerate, "
+            "which reads no target")
+
+    @pytest.mark.parametrize("analysis", [["--question", "MC1"], ["--extremes", "2"]],
+                             ids=["question", "extremes"])
+    def test_scale_is_kept_by_the_analyses_that_read_a_target(self, files, capsys, analysis):
+        argv = ["analyze", *analysis, *gradebook_args(files)]
+        code, default, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert run_cli([*argv, "--scale", "actual"], capsys) == (0, default, "")
+        code, out, _ = run_cli([*argv, "--scale", "normalized"], capsys)
+        assert code == 0 and out.splitlines()[0] == default.splitlines()[0]
+
     def test_unwritable_out_dir_is_1(self, tmp_path, capsys):
         (tmp_path / "file").write_text("", encoding="utf-8")
         out_dir = tmp_path / "file" / "cohort"

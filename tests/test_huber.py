@@ -282,8 +282,9 @@ class TestStopReason:
 
     @pytest.mark.parametrize("students, cap", [(20, 560), (30, 1150)])
     def test_wide_ladder_step_totals(self, students, cap):
-        # the row-space route with the floor probe: 1060 and 1804 steps
-        # before it, 508 and 1051 with it
+        # 0 steps: every fold keeps its ridge fit on the floor.  Newton in
+        # the students' row space took 1060 and 1804 steps, 508 and 1051
+        # with the floor probe
         folds = ladder_huber_folds(students)
         assert len(folds) == 4 * students
         assert all(f.stop_reason == solvers.STOP_GRADIENT for f in folds)
@@ -425,8 +426,8 @@ def oracle_design(case):
     """(s, a, cfg).  Seeds 0-2: tall designs with one outlier, sigma inside.
     "wide": an exactly interpolable design with n < m, sigma on the floor.
     "repeated_student": a noisy wide design whose rows 3 and 5 are equal, so
-    the row-space factor R is singular; sigma inside.  "zero_column": a
-    noisy wide binary design with an all-zero column, sigma on the floor.
+    S S^T is singular; sigma inside.  "zero_column": a noisy wide binary
+    design with an all-zero column, sigma on the floor.
     "above_floor": near-exact rows and one outlier; the fit reaches the
     floor on its way, but sigma's optimum lies above it.  "floating_floor":
     the steps keep asking sigma to fall, but its optimum lies above the
@@ -493,25 +494,31 @@ def test_a_scale_pushed_below_its_optimum_takes_few_steps():
 
 @pytest.mark.parametrize("case", [2, "wide", "above_floor", "floating_floor"])
 def test_first_scale_step_is_bounded(case, monkeypatch):
-    # the Newton step wants |d| > 1 in log sigma; scaled to 1, sigma changes by
-    # at most a factor of e
+    # the Newton step from the cold start (w = 0) wants |d| > 1 in log
+    # sigma; scaled to 1, sigma changes by at most a factor of e.  "wide" at
+    # alpha = 1 tries its ridge fit on the floor first, which fails the stop
+    # test (at the default alpha it passes, and no step is taken)
     s, a, cfg = oracle_design(case)
+    if case == "wide":
+        cfg = SolverConfig(huber_regularization=1.0)
     trials = []
 
     def recording(theta, *args):
-        trials.append(theta[-1])
+        trials.append(theta.copy())
         return _huber_objective_and_grad(theta, *args)
 
     monkeypatch.setattr(solvers, "_huber_objective_and_grad", recording)
     solvers.fit_huber(s, a, cfg)
-    assert abs(trials[1] - trials[0]) == pytest.approx(1.0)
+    cold = next(k for k, theta in enumerate(trials) if not theta[:-2].any())
+    assert cold == (case == "wide")
+    assert abs(trials[cold + 1][-1] - trials[cold][-1]) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("case", ["wide", "repeated_student", "zero_column"])
 def test_wide_ridge_weights_lie_in_the_row_space(case):
-    # with alpha > 0 the fit runs in coordinates of the row space of S's
-    # nonzero columns: a zero column's weight is exactly 0, and the rest is
-    # a combination of the students' rows
+    # with alpha > 0 every stationary w lies in the row space of S (the
+    # representer theorem; Kimeldorf & Wahba 1971): a zero column's weight
+    # is exactly 0, and the rest is a combination of the students' rows
     s, a, cfg = oracle_design(case)
     w = solvers.fit_huber(s, a, cfg).question_weights
     used = s.any(axis=0)
@@ -619,20 +626,26 @@ def probes(monkeypatch):
     return outcomes
 
 
+# Seed 7 at alpha = 1: 8 of the 9 fits fail the ridge fit on the floor and
+# are left to Newton; at the default alpha every fit keeps it.
+SEED7_NEWTON = SolverConfig(huber_regularization=1.0)
+
+
 class TestFloorProbe:
     def test_without_probes_the_seed7_folds_take_the_old_steps(self, monkeypatch):
         # every probe is refused: each still counts one Newton solve and one
         # evaluation, and the rest of the path is the one without probes
-        probed = seed7_huber_folds(solvers.DEFAULT_CONFIG)
+        probed = seed7_huber_folds(SEED7_NEWTON)
         calls = []
         monkeypatch.setattr(solvers, "_floor_probe", lambda *args: calls.append(1))
-        folds = seed7_huber_folds(solvers.DEFAULT_CONFIG)
+        folds = seed7_huber_folds(SEED7_NEWTON)
         fits = distinct_fits(folds)
         assert calls and len(fits) == 9
-        # 94 and 181 when sigma stepped in log(sigma - floor); 188 and 362
-        # before that, over both targets' 18 fits
-        assert sum(f.iterations for f in fits) - len(calls) == 97
-        assert sum(f.evaluations for f in fits) - len(calls) == 202
+        # at the default alpha, before the ridge fit on the floor: 97 and
+        # 202; 94 and 181 when sigma stepped in log(sigma - floor); 188 and
+        # 362 before that, over both targets' 18 fits
+        assert sum(f.iterations for f in fits) - len(calls) == 72
+        assert sum(f.evaluations for f in fits) - len(calls) == 149
         for got, want in zip(probed, folds):
             w = want.question_weights
             assert got.stop_reason == want.stop_reason == solvers.STOP_GRADIENT
@@ -641,15 +654,15 @@ class TestFloorProbe:
             assert got.sigma == want.sigma
 
     def test_seed7_folds_land_on_the_floor_by_a_probe(self, probes):
-        # one accepted probe per fit; where none is refused, it is the
-        # fold's second step, after its first Newton step
-        folds = seed7_huber_folds(solvers.DEFAULT_CONFIG)
-        assert probes.count(True) == len(distinct_fits(folds)) == 9
-        assert min(f.iterations for f in folds) == 2
+        # one accepted probe per fit left to Newton; where none is refused,
+        # it is the fold's second step, after its first Newton step
+        newton = [f for f in distinct_fits(seed7_huber_folds(SEED7_NEWTON)) if f.iterations]
+        assert probes.count(True) == len(newton) == 8
+        assert min(f.iterations for f in newton) == 2
 
     def test_ridgeless_and_tall_fits_never_probe(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("a floor probe off the row-space route")
+            raise AssertionError("a floor probe off a wide design with a ridge")
 
         monkeypatch.setattr(solvers, "_floor_probe", refuse)
         for case in (0, 1, 2, "floating_floor"):
@@ -670,7 +683,7 @@ class TestFloorProbe:
         (156, True, False, [False, False, False]),
         (3, False, False, [False, False, False, True]),
         (0, False, True, [False, False, False]),
-        (5, True, True, [False, True]),
+        (19, True, True, [False, True]),
     ], ids=["slope", "regime", "noisy_above", "noisy_floor"])
     def test_refused_probes_leave_the_fit_to_newton(self, probes, seed, binary, noisy,
                                                     outcomes):
@@ -698,3 +711,73 @@ class TestFloorProbe:
         assert sol.stop_reason == solvers.STOP_ITERATION_CAP
         assert sol.iterations == 2
         assert probes == [False]
+
+
+class TestFloorRidge:
+    def test_fit_huber_makes_no_qr(self, monkeypatch):
+        # one coordinate system: wide or tall, kept ridge fit or Newton, the
+        # fit runs on S itself
+        def refuse(*args, **kwargs):
+            raise AssertionError("a QR factorization in fit_huber")
+
+        monkeypatch.setattr(np.linalg, "qr", refuse)
+        for alpha in (0.1, 1.0):
+            for case in (0, "wide", "repeated_student", "zero_column"):
+                s, a, _ = oracle_design(case)
+                sol = solvers.fit_huber(s, a, SolverConfig(huber_regularization=alpha))
+                assert sol.stop_reason == solvers.STOP_GRADIENT
+        assert len(seed7_huber_folds(SEED7_NEWTON)) == 18
+
+    def test_seed7_folds_are_the_ridge_fit_on_the_floor(self, monkeypatch):
+        # at the defaults every fit keeps its ridge fit: sigma on the floor,
+        # every residual quadratic, lambda = 1e-4 * alpha * max|a|
+        fits = []
+
+        def recording(s, a, cfg):
+            fits.append((s, a, solvers.fit_huber(s, a, cfg)))
+            return fits[-1][2]
+
+        monkeypatch.setitem(solvers.FITTERS, solvers.HUBER, recording)
+        seed7_huber_folds(solvers.DEFAULT_CONFIG)
+        assert len(fits) == 9
+        for s, a, sol in fits:
+            assert (sol.iterations, sol.evaluations) == (0, 1)
+            assert sol.stop_reason == solvers.STOP_GRADIENT
+            assert sol.sigma == _SIGMA_FLOOR * np.max(np.abs(a))
+            lam = _SIGMA_FLOOR * solvers.DEFAULT_CONFIG.huber_regularization * np.max(np.abs(a))
+            n, m = s.shape
+            rows = np.vstack([np.column_stack([s, np.ones(n)]), np.sqrt(lam) * np.eye(m, m + 1)])
+            ridge = np.linalg.lstsq(rows, np.concatenate([a, np.zeros(m)]), rcond=None)[0]
+            w = sol.question_weights
+            assert np.linalg.norm(w - ridge[:m]) <= 1e-10 * np.linalg.norm(ridge[:m])
+            assert sol.intercept == pytest.approx(ridge[m], rel=1e-10)
+
+    @pytest.mark.parametrize("alpha, kept", [(0.1, True), (1.0, False)], ids=["kept", "newton"])
+    def test_a_zero_column_gets_weight_exactly_zero(self, alpha, kept):
+        s, a, _ = oracle_design("zero_column")
+        sol = solvers.fit_huber(s, a, SolverConfig(huber_regularization=alpha))
+        assert sol.stop_reason == solvers.STOP_GRADIENT
+        assert (sol.iterations == 0) == kept
+        assert sol.question_weights[4] == 0.0
+        assert np.all(sol.question_weights[s.any(axis=0)] != 0.0)
+
+    def test_a_singular_ridge_solve_falls_back_to_newton(self, monkeypatch):
+        # two equal students and a ridge too small to change the kernel's
+        # diagonal in floating point: the n-by-n solve raises, and the fit
+        # starts cold
+        s = np.array([[1.0, 0.0, 1.0, 1.0], [1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, 0.0]])
+        a = np.array([3.0, 3.0, 5.0])
+        solve, raised = np.linalg.solve, []
+
+        def recording(*args):
+            try:
+                return solve(*args)
+            except np.linalg.LinAlgError:
+                raised.append(args[0].shape)
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        sol = solvers.fit_huber(s, a, SolverConfig(huber_regularization=1e-14))
+        assert raised == [(3, 3)]
+        assert sol.stop_reason == solvers.STOP_GRADIENT
+        assert sol.iterations > 0
