@@ -2,8 +2,9 @@
 
 Four fitted solvers (closed-form least squares on an augmented bias column,
 centered regression with intercept, Huber regression with a jointly optimized
-concomitant scale, and non-negative least squares via the Lawson-Hanson
-active-set method) plus the two constant baselines (uniform and actual
+concomitant scale, and non-negative least squares, by a least-norm closed
+form on wide designs where it is optimal and the Lawson-Hanson active-set
+method otherwise) plus the two constant baselines (uniform and actual
 points), all producing a WeightSolution.
 
 Design matrices hold fractional question scores (rows = students, columns =
@@ -474,11 +475,26 @@ def fit_huber(s, a, cfg: SolverConfig = DEFAULT_CONFIG) -> WeightSolution:
 
 
 def fit_nnls(s, a, cfg: SolverConfig = DEFAULT_CONFIG, *, start=None) -> WeightSolution:
-    """Lawson-Hanson active-set solution of min ||S w - a|| s.t. w >= 0.
+    """Nonnegative least squares, min ||S w - a|| s.t. w >= 0: the
+    least-norm optimum where the closed form below finds it, else the
+    Lawson-Hanson active-set solution.
 
     No bias column is added (a nonnegative intercept would distort weights);
     the intercept is fixed at 0.  Candidate selection ties are broken toward
     the smallest column index for determinism.
+
+    On a wide design (fewer students than answered questions) and without
+    start, the fit first tries a closed form: the minimum-norm least-squares
+    solution w = linalg.solve_min_norm(S, a), with every entry within
+    linalg.LOO_RTOL * max|w| of 0 set to +0.0.  It keeps w, with 0
+    iterations, when w >= 0 and w passes the active-set loop's stop test on
+    every coordinate, S^T (a - S w) <= NNLS_TOLERANCE; otherwise the
+    active-set loop runs, as on a tall design.  A kept w is the least-norm
+    optimum: it minimizes ||S w - a|| with no constraint, so it is optimal
+    among w >= 0, and every other optimum is a least-squares solution too,
+    none of which has a smaller norm (Lawson & Hanson 1974, ch. 23; Bjorck
+    1996, section 1.2).  A wide design's optima need not be unique, and the
+    loop returns the vertex its path reaches.
 
     With start, a weight vector that guesses the answer (leave_one_out_fits
     states which fits get one), the first passive set is start's positive
@@ -505,6 +521,13 @@ def fit_nnls(s, a, cfg: SolverConfig = DEFAULT_CONFIG, *, start=None) -> WeightS
     """
     s, a = _check_design(s, a)
     m = s.shape[1]
+    if start is None and len(s) < np.count_nonzero(s.any(axis=0)):
+        w = linalg.solve_min_norm(s, a)
+        allowance = linalg.LOO_RTOL * np.abs(w).max()
+        if w.min() >= -allowance:
+            w[w <= allowance] = 0.0  # +0.0, also where w held -0.0
+            if (s.T @ (a - s @ w)).max() <= NNLS_TOLERANCE:
+                return WeightSolution(question_weights=w, intercept=0.0)
     max_iter = nnls_iteration_cap(m)
     gram = s.T @ s
 

@@ -75,13 +75,15 @@ class TestEvaluate:
         assert float(rows[1][uniform_col]) > 1.0
 
     def test_seed7_mae_table(self, files, capsys):
-        # GEN_ARGS spells out the defaults, so this is `generate --seed 7`
+        # GEN_ARGS spells out the defaults, so this is `generate --seed 7`;
+        # every NNLS fold keeps its least-norm optimum (2.4819 was the vertex
+        # Lawson-Hanson's path reached)
         code, out, err = run_cli(["evaluate", *gradebook_args(files)], capsys)
         assert (code, err) == (0, "")
         assert out == (
             "overall_score,uniform,actual,linear_intercept,huber,ols_closed_form,nnls\r\n"
-            "final (actual),1.2482,0.0000,0.8214,0.8220,0.3347,2.4819\r\n"
-            "final (normalized),1.2482,0.0000,0.8214,0.8220,0.3347,2.4819\r\n"
+            "final (actual),1.2482,0.0000,0.8214,0.8220,0.3347,0.3103\r\n"
+            "final (normalized),1.2482,0.0000,0.8214,0.8220,0.3347,0.3103\r\n"
         )
 
     def test_seed7_mae_table_without_ridge(self, files, capsys):
@@ -91,8 +93,8 @@ class TestEvaluate:
         assert (code, err) == (0, "")
         assert out == (
             "overall_score,uniform,actual,linear_intercept,huber,ols_closed_form,nnls\r\n"
-            "final (actual),1.2482,0.0000,0.8214,1.7657,0.3347,2.4819\r\n"
-            "final (normalized),1.2482,0.0000,0.8214,1.7657,0.3347,2.4819\r\n"
+            "final (actual),1.2482,0.0000,0.8214,1.7657,0.3347,0.3103\r\n"
+            "final (normalized),1.2482,0.0000,0.8214,1.7657,0.3347,0.3103\r\n"
         )
 
     def test_json_output_file(self, files, tmp_path, capsys):

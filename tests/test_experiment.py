@@ -734,10 +734,11 @@ class TestGramNnls:
                 np.testing.assert_array_equal(got.question_weights > 0, w > 0)
                 assert got.iterations == want.iterations
 
-    def test_the_seed7_folds_solve_from_the_gram_matrix(self, monkeypatch, svd_calls):
-        # wide (9x53): every passive solve gets its Gram block, and none
-        # falls back to an SVD
-        s, targets = cohort(dict(seed=7), EVERY_CELL)
+    def test_the_20x53_folds_solve_from_the_gram_matrix(self, monkeypatch, svd_calls):
+        # wide and noisy (20x53, 4 distinct targets): each fold's least-norm
+        # candidate is one solve by SVD, and every fold refuses it; every
+        # passive solve gets its Gram block, and none falls back to an SVD
+        s, targets = cohort(dict(seed=3, students=20, noise=4.0), EVERY_CELL)
         grams = []
         solve = linalg.solve_min_norm
 
@@ -746,9 +747,11 @@ class TestGramNnls:
             return solve(a, y, gram)
 
         monkeypatch.setattr(linalg, "solve_min_norm", recording)
-        experiment.loocv_fit(s, targets, solvers.NNLS)
-        assert len(grams) > 0 and all(gram is not None for gram in grams)
-        assert svd_calls == []
+        folds = [f for column, _ in experiment.loocv_fit(s, targets, solvers.NNLS) for f in column]
+        candidates = [gram for gram in grams if gram is None]
+        assert len(candidates) == len(folds) == 80 and svd_calls == [(19, 53)] * 80
+        assert all(f.iterations > 0 for f in folds)
+        assert len(grams) - len(candidates) == sum(f.iterations for f in folds)
 
 
 class TestEvaluate:

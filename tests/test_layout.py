@@ -9,8 +9,8 @@ MAE cell of the report exactly.  The layout changes are:
 * relabeling the students and questions;
 * permuting the rows of the components file, which sets the student order.
 
-Two known exceptions are marked xfail(strict=True), each naming the roadmap
-item that will make it pass, so that each fails loudly once its item lands.
+A known exception is marked xfail(strict=True), naming the roadmap item
+that will make it pass, so that it fails loudly once its item lands.
 """
 
 import csv
@@ -102,9 +102,8 @@ def xfail(item):
     pytest.param(TALL, solvers.HUBER, 0.1, id="tall-huber"),
     pytest.param(TALL, solvers.NNLS, 0.1, id="tall-nnls"),
     # every fold interpolates its 8 students, so its minimizers form a
-    # polytope, and Lawson-Hanson returns the vertex that question order
-    # leads it to: item 7 (one stated answer for NNLS)
-    pytest.param(WIDE, solvers.NNLS, 0.1, id="wide-nnls", marks=xfail(7)),
+    # polytope; the fit keeps its least-norm point, which no order changes
+    pytest.param(WIDE, solvers.NNLS, 0.1, id="wide-nnls"),
     # without the ridge a wide design's minimizer in w is not unique, and
     # the fit's path picks one: item 4 (Huber at alpha = 0)
     pytest.param(WIDE, solvers.HUBER, 0.0, id="wide-huber-alpha0", marks=xfail(4)),

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from examweight import linalg, solvers
 from examweight.errors import ConvergenceError
@@ -112,6 +112,25 @@ class TestLinearIntercept:
         assert abs(resid.sum()) < 1e-9 * n * max(np.max(np.abs(a)), 1.0)
 
 
+def wide_nnls_design(seed, binary, zero_column, repeated_student, noisy):
+    """(s, a): a random design of 2 to 12 students and at least two more
+    questions, optionally binary, with an all-zero column and with its first
+    student repeating its last.  The target is S w for a nonnegative w with
+    about a third of its entries zero, plus noise of 1e-3 to 10 when noisy."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 13))
+    m = int(rng.integers(n + 2, 2 * n + 6))
+    s = rng.integers(0, 2, (n, m)).astype(float) if binary else rng.random((n, m))
+    if zero_column:
+        s[:, rng.integers(m)] = 0.0
+    if repeated_student:
+        s[0] = s[-1]
+    a = s @ (rng.random(m) * 4 * (rng.random(m) < 0.7))
+    if noisy:
+        a += 10 ** rng.uniform(-3, 1) * rng.standard_normal(n)
+    return s, a
+
+
 class TestNnls:
     def test_negative_coordinate_clipped(self):
         sol = solvers.fit_nnls(np.eye(2), [3.0, -1.0])
@@ -203,10 +222,57 @@ class TestNnls:
         svd = linalg.svd
         monkeypatch.setattr(linalg, "svd", lambda a: factored.append(np.shape(a)) or svd(a))
         rng = np.random.default_rng(5)
-        for shape in ((30, 8), (6, 8)):
+        # the wide target's least-norm fit has a negative weight, so the
+        # fit's one SVD is that candidate's, and its passive solves run
+        for shape, svds in (((30, 8), []), ((6, 8), [(6, 8)])):
             s = rng.random(shape)
             sol = solvers.fit_nnls(s, s @ (rng.random(8) - 0.3))
-            assert sol.iterations > 1 and factored == []
+            assert sol.iterations > 1 and factored == svds
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        binary=st.booleans(),
+        zero_column=st.booleans(),
+        repeated_student=st.booleans(),
+        noisy=st.booleans(),
+    )
+    def test_wide_fits_reach_the_least_norm_oracle(self, seed, binary, zero_column,
+                                                   repeated_student, noisy):
+        # A fit that keeps its closed form is the minimum-norm least-squares
+        # solution, nonnegative; every fit reaches scipy's objective, and a
+        # kept one has no larger norm than scipy's optimum.  With w = 0 not
+        # optimal, the loop makes at least one solve, so 0 iterations means
+        # the closed form was kept.  Objectives are compared relative to
+        # ||a||^2, the objective at w = 0: an interpolating fit's own is
+        # rounding.
+        optimize = pytest.importorskip("scipy.optimize")
+        s, a = wide_nnls_design(seed, binary, zero_column, repeated_student, noisy)
+        assume((s.T @ a).max() > solvers.NNLS_TOLERANCE)  # w = 0 is not optimal
+        oracle, _ = optimize.nnls(s, a)
+        sol = solvers.fit_nnls(s, a)
+        w = sol.question_weights
+        f, f_oracle = (float(np.sum((s @ x - a) ** 2)) for x in (w, oracle))
+        assert f <= f_oracle + 1e-10 * float(a @ a)
+        if sol.iterations == 0:
+            assert np.all(w >= 0.0) and not np.signbit(w).any()
+            pinv = np.linalg.pinv(s) @ a
+            assert np.linalg.norm(w - pinv) <= 1e-10 * np.linalg.norm(pinv)
+            assert np.linalg.norm(w) <= np.linalg.norm(oracle) * (1 + 1e-10)
+
+    def test_a_candidate_off_the_optimum_is_refused(self, monkeypatch):
+        # halved, the least-norm fit is still nonnegative, but its gradient
+        # S^T (a - S w) = S^T a / 2 fails the stop test: the loop answers
+        rng = np.random.default_rng(6)
+        s = rng.random((4, 7))
+        a = s @ rng.random(7)
+        kept = solvers.fit_nnls(s, a)
+        solve = linalg.solve_min_norm
+        monkeypatch.setattr(linalg, "solve_min_norm",
+                            lambda m, y, gram=None: solve(m, y, gram) * (0.5 if gram is None else 1.0))
+        sol = solvers.fit_nnls(s, a)
+        assert kept.iterations == 0 and sol.iterations > 0
+        assert np.linalg.norm(s @ sol.question_weights - a) <= 1e-12 * np.linalg.norm(a)
 
     def test_iteration_cap(self, monkeypatch):
         rng = np.random.default_rng(1)
